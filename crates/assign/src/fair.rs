@@ -13,7 +13,9 @@
 //!   qualified tasks, eliminating total-exclusion discrimination.
 
 use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy, WorkerView};
+use faircrowd_model::ids::TaskId;
 use rand::RngCore;
+use std::collections::{BTreeSet, HashMap};
 
 /// Group workers into similarity classes: same-skill (by kernel score ≥
 /// threshold) and close quality. Greedy clustering against each class's
@@ -75,9 +77,15 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureParity<P> {
         let mut outcome = self.base.assign(input, rng);
         let classes =
             similarity_classes(&input.workers, self.skill_threshold, self.quality_tolerance);
+        let position: HashMap<TaskId, usize> = input
+            .tasks
+            .iter()
+            .enumerate()
+            .map(|(ti, t)| (t.id, ti))
+            .collect();
         for class in classes {
             // union of everything anyone in the class was shown
-            let mut union = std::collections::BTreeSet::new();
+            let mut union = BTreeSet::new();
             for &wi in &class {
                 if let Some(vis) = outcome.visibility.get(&input.workers[wi].id) {
                     union.extend(vis.iter().copied());
@@ -87,12 +95,9 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureParity<P> {
             for &wi in &class {
                 let w = &input.workers[wi];
                 for &tid in &union {
-                    let qualified = input
-                        .tasks
-                        .iter()
-                        .find(|t| t.id == tid)
-                        .map(|t| w.qualifies(t))
-                        .unwrap_or(false);
+                    let qualified = position
+                        .get(&tid)
+                        .is_some_and(|&ti| w.qualifies(&input.tasks[ti]));
                     if qualified {
                         outcome.show(w.id, tid);
                     }

@@ -13,7 +13,6 @@
 use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy};
 use rand::seq::SliceRandom;
 use rand::RngCore;
-use std::collections::BTreeMap;
 
 /// Random (l, r)-regular allocation.
 #[derive(Debug, Clone, Copy)]
@@ -39,10 +38,10 @@ impl AssignmentPolicy for KosAllocation {
         let mut outcome = AssignmentOutcome::default();
         // Remaining right-degree per worker, bounded by both `r` and the
         // worker's declared capacity.
-        let mut budget: BTreeMap<_, u32> = input
+        let mut budget: Vec<u32> = input
             .workers
             .iter()
-            .map(|w| (w.id, w.capacity.min(self.r)))
+            .map(|w| w.capacity.min(self.r))
             .collect();
 
         let mut task_order: Vec<usize> = (0..input.tasks.len()).collect();
@@ -56,14 +55,13 @@ impl AssignmentPolicy for KosAllocation {
                 .workers
                 .iter()
                 .enumerate()
-                .filter(|(_, w)| budget[&w.id] > 0 && w.qualifies(t))
+                .filter(|&(wi, w)| budget[wi] > 0 && w.qualifies(t))
                 .map(|(wi, _)| wi)
                 .collect();
             candidates.shuffle(rng);
             for wi in candidates.into_iter().take(want as usize) {
-                let w = &input.workers[wi];
-                *budget.get_mut(&w.id).expect("budget entry") -= 1;
-                outcome.assign(w.id, t.id);
+                budget[wi] -= 1;
+                outcome.assign(input.workers[wi].id, t.id);
             }
         }
         outcome
@@ -81,6 +79,7 @@ mod tests {
     use faircrowd_model::time::SimDuration;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     /// A uniform market with no skill requirements.
     fn uniform_market(n_tasks: u32, n_workers: u32, slots: u32, capacity: u32) -> AssignInput {

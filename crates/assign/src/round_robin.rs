@@ -7,7 +7,6 @@
 
 use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy};
 use rand::RngCore;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Deal tasks to workers in rotation.
 #[derive(Debug, Clone, Copy, Default)]
@@ -27,9 +26,13 @@ impl AssignmentPolicy for RoundRobin {
                 }
             }
         }
-        let mut slots: BTreeMap<_, u32> = input.tasks.iter().map(|t| (t.id, t.slots)).collect();
+        let mut slots: Vec<u32> = input.tasks.iter().map(|t| t.slots).collect();
         let mut capacity: Vec<u32> = input.workers.iter().map(|w| w.capacity).collect();
-        let mut taken: Vec<BTreeSet<_>> = vec![BTreeSet::new(); input.workers.len()];
+        // Each worker takes the first (lowest-id) qualified open task it
+        // has not taken yet. Slots only fall within one call, so nothing
+        // behind a worker's last pick can become eligible again: its
+        // next pick lies past it, and a cursor replaces the taken set.
+        let mut cursor = vec![0; input.workers.len()];
 
         loop {
             let mut progressed = false;
@@ -37,17 +40,17 @@ impl AssignmentPolicy for RoundRobin {
                 if capacity[wi] == 0 {
                     continue;
                 }
-                // the first (lowest-id) qualified open task not yet taken
-                let next = input
-                    .tasks
-                    .iter()
-                    .find(|t| w.qualifies(t) && slots[&t.id] > 0 && !taken[wi].contains(&t.id));
-                if let Some(t) = next {
-                    *slots.get_mut(&t.id).expect("slot entry") -= 1;
-                    capacity[wi] -= 1;
-                    taken[wi].insert(t.id);
-                    outcome.assign(w.id, t.id);
-                    progressed = true;
+                let next = (cursor[wi]..input.tasks.len())
+                    .find(|&ti| slots[ti] > 0 && w.qualifies(&input.tasks[ti]));
+                match next {
+                    Some(ti) => {
+                        slots[ti] -= 1;
+                        capacity[wi] -= 1;
+                        cursor[wi] = ti + 1;
+                        outcome.assign(w.id, input.tasks[ti].id);
+                        progressed = true;
+                    }
+                    None => cursor[wi] = input.tasks.len(),
                 }
             }
             if !progressed {

@@ -147,7 +147,9 @@ pub struct Simulation {
     durations: BTreeMap<WorkerId, Vec<(SimDuration, SimDuration)>>,
     in_flight: Vec<InFlight>,
     judgments: Vec<PendingJudgment>,
-    seen_visibility: BTreeSet<(WorkerId, TaskId)>,
+    /// One bitset over task indices per worker: bit `t` of row `w` is
+    /// set once worker `w` has been shown task `t`.
+    seen_visibility: Vec<Vec<u64>>,
     true_labels: BTreeMap<TaskId, u8>,
 }
 
@@ -264,7 +266,7 @@ impl Simulation {
             durations: BTreeMap::new(),
             in_flight: Vec::new(),
             judgments: Vec::new(),
-            seen_visibility: BTreeSet::new(),
+            seen_visibility: vec![Vec::new(); n_workers],
             true_labels: BTreeMap::new(),
         }
     }
@@ -502,7 +504,13 @@ impl Simulation {
         // Exposure events (first time a worker sees a task).
         for (&w, vis) in &outcome.visibility {
             for &t in vis {
-                if self.seen_visibility.insert((w, t)) {
+                let seen = &mut self.seen_visibility[w.index()];
+                let (word, bit) = (t.index() / 64, 1u64 << (t.index() % 64));
+                if word >= seen.len() {
+                    seen.resize(word + 1, 0);
+                }
+                if seen[word] & bit == 0 {
+                    seen[word] |= bit;
                     self.events
                         .push(self.now, EventKind::TaskVisible { task: t, worker: w });
                 }
