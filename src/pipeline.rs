@@ -492,32 +492,24 @@ impl Pipeline {
     }
 
     /// Produce only the **final** artifacts: for an enforcement-free
-    /// pipeline, the audit of the baseline trace `simulate` yields; with
-    /// enforcements staged, the repaired re-simulation and its re-audit
-    /// — *skipping the baseline entirely* (neither simulated nor
-    /// audited), since nothing of it is returned. `simulate` is called
-    /// at most once, and only when the baseline is actually needed.
+    /// pipeline, the audit of the staged scenario; with enforcements
+    /// staged, the repaired simulation and its audit — *skipping the
+    /// baseline entirely* (neither simulated nor audited), since nothing
+    /// of it is returned.
     ///
-    /// This is the sweep engine's cached path: a grid cell folds exactly
-    /// the fields of [`RunArtifacts`], so dropping the unread baseline
-    /// work changes wall-clock and nothing else (pinned byte-identical
+    /// This is the sweep engine's path: a grid cell folds exactly the
+    /// fields of [`RunArtifacts`], so dropping the unread baseline work
+    /// changes wall-clock and nothing else (pinned byte-identical
     /// against the full [`Pipeline::run`] by `sweep`'s determinism
     /// tests).
-    pub fn run_final_with_baseline(
-        self,
-        simulate: impl FnOnce() -> Result<Trace, FaircrowdError>,
-    ) -> Result<RunArtifacts, FaircrowdError> {
+    pub fn run_final(self) -> Result<RunArtifacts, FaircrowdError> {
         self.scenario.validate()?;
-        if self.enforcements.is_empty() {
-            let baseline = simulate()?;
-            return Ok(self.audit_artifacts(baseline));
-        }
-        let mut repaired = self.scenario.clone();
+        let mut config = self.scenario.clone();
         for enforcement in &self.enforcements {
-            enforcement.apply(&mut repaired);
+            enforcement.apply(&mut config);
         }
-        repaired.validate()?;
-        let trace = self.simulate_config(&repaired)?;
+        config.validate()?;
+        let trace = self.simulate_config(&config)?;
         Ok(self.audit_artifacts(trace))
     }
 
@@ -772,20 +764,13 @@ mod tests {
         );
         assert_eq!(a.artifacts.report, b.artifacts.report);
         // …and the lean final-artifacts path agrees with the full one.
-        // With enforcements staged it must not even ask for a baseline.
-        let lean = pipeline
-            .clone()
-            .run_final_with_baseline(|| panic!("enforced lean path must not simulate a baseline"))
-            .unwrap();
+        let lean = pipeline.clone().run_final().unwrap();
         assert_eq!(lean.report, a.artifacts.report);
         assert_eq!(lean.summary, a.artifacts.summary);
         assert_eq!(lean.wages, a.artifacts.wages);
-        // Without enforcements it audits exactly the supplied baseline.
+        // Without enforcements it audits exactly the baseline.
         let plain = Pipeline::new().seed(5).rounds(10);
-        let lean = plain
-            .clone()
-            .run_final_with_baseline(|| plain.simulate())
-            .unwrap();
+        let lean = plain.clone().run_final().unwrap();
         assert_eq!(lean.report, plain.clone().run().unwrap().baseline.report);
     }
 

@@ -94,7 +94,7 @@ use faircrowd_model::contribution::Contribution;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// The axes of a sweep. Every field is an optional axis; `None` means
 /// the single default point documented on [the module](self). Parse one
@@ -455,57 +455,41 @@ impl SweepCase {
     }
 
     /// Run the case: simulate, audit (and repair + re-audit when the
-    /// stack is non-empty), keeping the final report and summary.
+    /// stack is non-empty), keeping the final report and summary. This
+    /// is the uncached oracle the unit path is pinned against.
     pub fn run(&self) -> Result<CaseOutcome, FaircrowdError> {
-        let aggregator = self.aggregator_choice()?;
         let result = self.pipeline()?.run()?;
-        let consensus = consensus_accuracy(result.trace(), &aggregator);
-        Ok(self.outcome_of(result, consensus))
+        self.outcome(
+            result.trace(),
+            result.report(),
+            result.summary(),
+            result.wages(),
+        )
     }
 
-    /// Run the case with its baseline trace supplied lazily (the
-    /// simulation-cache path: `baseline` pulls a clone from the shared
-    /// per-key slot, and is only invoked when the case actually audits
-    /// the baseline — enforced cells re-simulate a repaired config and
-    /// never touch it). Identical output to [`SweepCase::run`]: the
-    /// simulator is a pure function of the case's config, so a cached
-    /// trace is *the* trace this case would have simulated, and the cell
-    /// folds only the *final* report, which the lean
-    /// [`Pipeline::run_final_with_baseline`] path returns unchanged.
-    pub fn run_with_baseline(
+    /// What this case contributes given its final run: the run's
+    /// report, summary and wages, and the consensus accuracy of this
+    /// case's aggregator on the run's trace.
+    fn outcome(
         &self,
-        baseline: impl FnOnce() -> Result<Trace, FaircrowdError>,
+        trace: &Trace,
+        report: &FairnessReport,
+        summary: &TraceSummary,
+        wages: Option<WageStats>,
     ) -> Result<CaseOutcome, FaircrowdError> {
-        let aggregator = self.aggregator_choice()?;
-        let artifacts = self.pipeline()?.run_final_with_baseline(baseline)?;
         Ok(CaseOutcome {
-            consensus: consensus_accuracy(&artifacts.trace, &aggregator),
-            report: artifacts.report,
-            summary: artifacts.summary,
-            wages: artifacts.wages,
+            consensus: consensus_accuracy(trace, &self.aggregator_choice()?),
+            report: report.clone(),
+            summary: summary.clone(),
+            wages,
             case: self.clone(),
         })
     }
 
-    fn outcome_of(
-        &self,
-        result: crate::pipeline::PipelineResult,
-        consensus: Option<f64>,
-    ) -> CaseOutcome {
-        CaseOutcome {
-            report: result.report().clone(),
-            summary: result.summary().clone(),
-            wages: result.wages(),
-            consensus,
-            case: self.clone(),
-        }
-    }
-
-    /// The simulation-cache key: everything that determines the
-    /// **baseline** trace. The `enforce` axis is deliberately absent —
-    /// enforcement repairs re-simulate a *different* config in the
-    /// second pipeline pass, but the baseline run they are compared
-    /// against is shared across the whole stack axis.
+    /// Everything that determines the **unrepaired** market: the case
+    /// minus its `enforce` and `aggregator` axes. Shard partitioning
+    /// keeps each key's cases together; a unit of work ([`units`])
+    /// adds the enforcement stack to it.
     fn sim_key(&self) -> (String, Option<String>, Option<String>, u64, u64, u32) {
         (
             self.scenario.clone(),
@@ -686,67 +670,78 @@ pub fn run_grid_observed(
     })
 }
 
-/// One slot of the simulation cache: filled exactly once, by whichever
-/// worker needs its key first; later takers clone the `Arc`'d trace.
-type SimSlot = OnceLock<Result<Arc<Trace>, FaircrowdError>>;
+/// Group cases into units of work: the cases equal on
+/// [`SweepCase::sim_key`] and on their enforcement stack, i.e. differing
+/// at most on the aggregator, describe one market. Units are numbered
+/// in first-occurrence order and list their case indexes ascending, so
+/// every case lands in exactly one unit.
+fn units(cases: &[SweepCase]) -> Vec<Vec<usize>> {
+    let mut unit_of_key = HashMap::new();
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    for (i, case) in cases.iter().enumerate() {
+        let key = (case.sim_key(), stack_label(&case.enforcements));
+        let next = units.len();
+        let unit = *unit_of_key.entry(key).or_insert(next);
+        if unit == next {
+            units.push(Vec::new());
+        }
+        units[unit].push(i);
+    }
+    units
+}
 
-/// Execute `cases` on `jobs` scoped worker threads. Work is pulled off
-/// a shared atomic counter; results land in their case's slot, so the
-/// output order is the input order regardless of thread scheduling.
-///
-/// With `reuse_sim`, cases sharing a [`SweepCase::sim_key`] (i.e.
-/// differing only on the enforcement stack) pull their baseline from
-/// one keyed [`OnceLock`] slot: the first taker fills it with a single
-/// simulation, concurrent takers block on that instead of running their
-/// own, and the slot is consulted **lazily** — an enforced cell
-/// re-simulates its repaired config and never touches the baseline, so
-/// it neither simulates nor clones one.
+/// Run one unit: simulate (or converge) and audit its market once,
+/// then score each case's aggregator on that one trace. The trace is
+/// dropped when the unit is done.
+fn run_unit(cases: &[SweepCase], unit: &[usize]) -> Vec<Result<CaseOutcome, FaircrowdError>> {
+    match cases[unit[0]].pipeline().and_then(Pipeline::run_final) {
+        Ok(run) => unit
+            .iter()
+            .map(|&i| cases[i].outcome(&run.trace, &run.report, &run.summary, run.wages))
+            .collect(),
+        Err(e) => unit.iter().map(|_| Err(e.clone())).collect(),
+    }
+}
+
+/// Execute `cases` on `jobs` scoped worker threads. Workers pull whole
+/// units ([`units`]) off a shared atomic counter, so one market is
+/// simulated and audited once however many aggregators score it;
+/// results land in their case's slot, so the output order is the input
+/// order regardless of thread scheduling. Without `reuse_sim` every
+/// case is its own unit and runs the full [`SweepCase::run`], the
+/// uncached oracle.
 fn run_cases(
     cases: &[SweepCase],
     jobs: usize,
     reuse_sim: bool,
     on_done: CellHook<'_>,
 ) -> Result<Vec<CaseOutcome>, FaircrowdError> {
-    let jobs = jobs.max(1).min(cases.len().max(1));
-
-    // Key interning pass: case index → dense cache-slot index.
-    let mut slot_of_key = HashMap::new();
-    let slot_of_case: Vec<usize> = cases
-        .iter()
-        .map(|case| {
-            let next = slot_of_key.len();
-            *slot_of_key.entry(case.sim_key()).or_insert(next)
-        })
-        .collect();
-    let sim_cache: Vec<SimSlot> = (0..slot_of_key.len()).map(|_| OnceLock::new()).collect();
-
+    let units = if reuse_sim {
+        units(cases)
+    } else {
+        (0..cases.len()).map(|i| vec![i]).collect()
+    };
+    let jobs = jobs.max(1).min(units.len().max(1));
     let slots: Vec<Mutex<Option<Result<CaseOutcome, FaircrowdError>>>> =
         cases.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(case) = cases.get(i) else { break };
-                let outcome = if reuse_sim {
-                    // Lazy: only consulted (and only then simulated /
-                    // cloned) when the case audits the baseline.
-                    case.run_with_baseline(|| {
-                        sim_cache[slot_of_case[i]]
-                            .get_or_init(|| {
-                                case.pipeline().and_then(|p| p.simulate()).map(Arc::new)
-                            })
-                            .as_ref()
-                            .map(|trace| Trace::clone(trace))
-                            .map_err(FaircrowdError::clone)
-                    })
-                } else {
-                    case.run()
+                let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                    break;
                 };
-                if let (Some(on_done), Ok(outcome)) = (on_done, &outcome) {
-                    on_done(i, outcome);
+                let outcomes = if reuse_sim {
+                    run_unit(cases, unit)
+                } else {
+                    vec![cases[unit[0]].run()]
+                };
+                for (&i, outcome) in unit.iter().zip(outcomes) {
+                    if let (Some(on_done), Ok(outcome)) = (on_done, &outcome) {
+                        on_done(i, outcome);
+                    }
+                    *slots[i].lock().expect("result slot poisoned") = Some(outcome);
                 }
-                *slots[i].lock().expect("result slot poisoned") = Some(outcome);
             });
         }
     });
@@ -1294,6 +1289,61 @@ mod tests {
         let cases = grid.expand().unwrap();
         assert_eq!(cases.len(), 2);
         assert_eq!(cases[0].sim_key(), cases[1].sim_key());
+    }
+
+    /// Each case's unit index; fails if a case lands in two units.
+    fn unit_of(cases: &[SweepCase]) -> Vec<usize> {
+        let mut unit_of = vec![usize::MAX; cases.len()];
+        for (u, unit) in units(cases).iter().enumerate() {
+            for &i in unit {
+                assert_eq!(unit_of[i], usize::MAX, "case {i} in two units");
+                unit_of[i] = u;
+            }
+        }
+        unit_of
+    }
+
+    #[test]
+    fn aggregator_only_variants_share_one_unit() {
+        let grid = SweepGrid::parse("rounds=6;seed=1,2;aggregator=*;enforce=none,parity").unwrap();
+        let cases = grid.expand().unwrap();
+        let units = units(&cases);
+        // One unit per (seed, stack); each holds every aggregator.
+        assert_eq!(units.len(), 4);
+        for unit in &units {
+            assert_eq!(unit.len(), crate::quality::aggregate::NAMES.len());
+            assert!(unit.windows(2).all(|w| w[0] < w[1]), "ascending: {unit:?}");
+            let first = &cases[unit[0]];
+            for &i in unit {
+                assert_eq!(cases[i].sim_key(), first.sim_key());
+                assert_eq!(cases[i].enforcements, first.enforcements);
+            }
+        }
+    }
+
+    #[test]
+    fn cells_differing_beyond_the_aggregator_never_share_a_unit() {
+        let grid = SweepGrid::parse(
+            "scenario=baseline,undercut_churn;policy=round_robin,kos;\
+             strategy=static,price_undercut;seed=1,2;scale=1,2;rounds=6,8;\
+             enforce=none,parity,parity+grace;aggregator=majority,parity_constrained",
+        )
+        .unwrap();
+        let cases = grid.expand().unwrap();
+        let unit_of = unit_of(&cases);
+        assert!(unit_of.iter().all(|&u| u != usize::MAX), "every case in a unit");
+        for (i, a) in cases.iter().enumerate() {
+            for (j, b) in cases.iter().enumerate().skip(i + 1) {
+                let same_market = a.scenario == b.scenario
+                    && a.policy == b.policy
+                    && a.strategy == b.strategy
+                    && a.seed == b.seed
+                    && a.scale == b.scale
+                    && a.rounds == b.rounds
+                    && a.enforcements == b.enforcements;
+                assert_eq!(unit_of[i] == unit_of[j], same_market, "cases {i} and {j}");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 
 use faircrowd::prelude::*;
 use faircrowd::sim::catalog;
-use faircrowd::sweep::run_grid;
+use faircrowd::sweep::shard::{merge_paths, run_shard, ShardSpec};
+use faircrowd::sweep::{run_grid, run_grid_opts, SweepResult};
 
 /// The acceptance grid, shrunk in rounds so the full matrix (every
 /// registry policy × 8 seeds × 2 scenarios) stays fast in CI.
@@ -36,6 +37,47 @@ fn parallel_sweep_is_byte_identical_to_serial() {
         "CSV must not depend on --jobs"
     );
     assert_eq!(serial.render_table(), parallel.render_table());
+}
+
+/// The frontier's shape: every aggregator under both repairs and both
+/// assignment policies, on a static and a strategic (converged)
+/// scenario. Aggregator-only variants share one unit of work.
+const UNIT_GRID: &str = "scenario=baseline,undercut_churn;policy=round_robin,kos;\
+                         aggregator=*;enforce=none,parity;seed=1,2;rounds=6";
+
+fn exports(result: &SweepResult) -> [String; 3] {
+    [result.to_json(), result.to_csv(), result.render_table()]
+}
+
+#[test]
+fn unit_sweeps_match_the_uncached_oracle_across_jobs_and_shards() {
+    let grid = SweepGrid::parse(UNIT_GRID).unwrap();
+    let oracle = exports(&run_grid_opts(&grid, 2, false).unwrap());
+    for jobs in [1, 2, 3] {
+        let units = exports(&run_grid_opts(&grid, jobs, true).unwrap());
+        assert!(units == oracle, "--jobs {jobs} differs from the uncached oracle");
+    }
+    for shards in [2, 3] {
+        let dir = std::env::temp_dir().join(format!(
+            "fc_sweep_units_{}_{shards}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let paths: Vec<_> = (1..=shards)
+            .map(|index| {
+                let path = dir.join(format!("part-{index}.json"));
+                let spec = ShardSpec {
+                    index,
+                    count: shards,
+                };
+                run_shard(&grid, spec, &path, 2).unwrap();
+                path
+            })
+            .collect();
+        let merged = exports(&merge_paths(&paths).unwrap());
+        assert!(merged == oracle, "{shards}-shard merge differs from the oracle");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
