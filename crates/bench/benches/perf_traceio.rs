@@ -2,10 +2,9 @@
 //!
 //! Criterion view of the two workloads `traceio_baseline` pins in
 //! `BENCH_traceio.json`: encoding/decoding the baseline catalog trace
-//! in both schema formats, and an enforcement-axis sweep with the
-//! baseline-simulation cache on vs off (cells differing only on the
-//! `enforce` stack share one simulated trace; outputs are
-//! byte-identical either way — only wall-clock moves).
+//! in both schema formats, and an enforcement-axis sweep with units of
+//! work on vs off (enforced cells skip the unread baseline; outputs
+//! are byte-identical either way — only wall-clock moves).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use faircrowd::core::persist::{self, TraceFormat};

@@ -213,11 +213,10 @@ fn main() {
          faster than a cold run (measured {resume_speedup:.1}×)"
     );
 
-    // Shard-aware cache: sweep the stacked-enforce grid as 2 in-process
-    // shard runs with and without the baseline-simulation cache. The
-    // cluster partition keeps all four enforce-variants of a (scenario,
-    // policy, seed, scale, rounds) baseline on one shard, so each
-    // shard's private cache still pays that simulation exactly once.
+    // Shard-aware units: sweep the stacked-enforce grid as 2 in-process
+    // shard runs with and without units of work. The cluster partition
+    // keeps every variant of a (scenario, policy, seed, scale, rounds)
+    // market on one shard, so no unit is split across shards.
     let stacked = SweepGrid::parse(STACKED).expect("grid parses");
     let dir = scratch("cache");
     let timed = |reuse: bool| {

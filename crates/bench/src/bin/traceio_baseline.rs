@@ -13,13 +13,12 @@
 //!    MB/s-of-own-bytes would reward verbosity, since the `.fcb` file
 //!    is ~14× smaller than the JSON one).
 //! 2. **Cached vs uncached sweeps** — a grid with a stacked `enforce`
-//!    axis run through `faircrowd::sweep` with the baseline-simulation
-//!    cache on and off. Cells differing only on the enforcement stack
-//!    share one simulated trace (so the cached sweep does (stacks − 1)
-//!    fewer baseline simulations per cell), and the cached path also
-//!    skips the baseline audit of enforced cells, whose report the
-//!    sweep never reads. Outputs are asserted byte-identical before any
-//!    number is reported.
+//!    axis run through `faircrowd::sweep` with units of work on and
+//!    off. A unit simulates and audits each market once; an enforced
+//!    cell simulates only its repaired config and skips the baseline
+//!    simulation and audit, whose report the sweep never reads, while
+//!    the uncached oracle runs both. Outputs are asserted
+//!    byte-identical before any number is reported.
 //!
 //! ```text
 //! cargo run --release --bin traceio_baseline > BENCH_traceio.json
@@ -129,9 +128,8 @@ fn main() {
     // Sweep: 2 seeds × 4 enforcement stacks over the baseline scenario
     // at scale 4. Uncached: 8 baseline simulations (+6 enforced
     // re-simulations, which repair the config and *must* re-run) and 14
-    // audits. Cached: 2 baseline simulations (+6) and 8 audits — cells
-    // differing only on the stack share one baseline trace, and
-    // enforced cells skip the baseline audit nobody reads.
+    // audits. Cached: 2 baseline simulations (+6) and 8 audits —
+    // enforced cells skip the baseline nobody reads.
     let grid = SweepGrid::parse(
         "scenario=baseline;seed=0..2;scale=4;enforce=none,transparency,grace,transparency+grace",
     )

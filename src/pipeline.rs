@@ -387,9 +387,9 @@ impl Pipeline {
     }
 
     /// Validate the staged scenario and simulate it into a validated
-    /// trace — the export path (`faircrowd export`) and the sweep
-    /// engine's simulation cache both call this, so a trace produced
-    /// here and fed back through [`Pipeline::run_with_baseline`] or
+    /// trace — the export path (`faircrowd export`) calls this, so a
+    /// trace produced here and fed back through
+    /// [`Pipeline::run_with_baseline`] or
     /// [`Pipeline::replay`] is exactly the trace [`Pipeline::run`]
     /// would have audited.
     pub fn simulate(&self) -> Result<Trace, FaircrowdError> {
@@ -462,9 +462,8 @@ impl Pipeline {
     /// skipping only the baseline simulation: the audit, enforcement
     /// re-simulation and re-audit are identical to [`Pipeline::run`].
     /// The trace must be the output of [`Pipeline::simulate`] on the
-    /// same scenario — this is the sweep engine's simulation-cache path,
-    /// where grid cells differing only on the enforcement axis share
-    /// one simulated baseline instead of re-running the platform.
+    /// same scenario, e.g. one exported earlier, so that a baseline
+    /// simulated once can be compared against any number of repairs.
     pub fn run_with_baseline(self, baseline: Trace) -> Result<PipelineResult, FaircrowdError> {
         self.scenario.validate()?;
         self.finish(baseline)

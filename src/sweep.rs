@@ -27,21 +27,19 @@
 //!    names resolve during [`SweepGrid::expand`], before any thread
 //!    spawns, with errors listing the valid names.
 //!
-//! With PR 3's `TraceIndex` making audits cheap, **simulation is the
-//! dominant cost of a sweep cell** — so the engine caches simulated
-//! baseline traces by `(scenario, policy, strategy, seed, scale,
-//! rounds)`. Cases
-//! that differ only on the `enforce` axis are the same platform run
-//! audited under different repairs: instead of each re-running the
-//! simulator, they draw on one keyed [`OnceLock`]-guarded slot,
-//! consulted lazily — the empty-stack cell audits (a clone of) the
-//! shared baseline, while enforced cells re-simulate only their
-//! *repaired* config and skip the baseline simulation and its unread
-//! audit entirely ([`Pipeline::run_final_with_baseline`]). The
-//! simulator is a pure function of its config, so cached and uncached
-//! sweeps are byte-identical ([`run_grid_opts`] exposes the switch;
-//! `tests/sweep_determinism.rs` and the `traceio_baseline` bench pin
-//! equality and the wall-clock win).
+//! With `TraceIndex` making audits cheap, **simulation is the dominant
+//! cost of a sweep cell**, so the engine pays once per distinct market.
+//! Its unit of work is the group of cases equal on `(scenario, policy,
+//! strategy, seed, scale, rounds)` and on their enforcement stack —
+//! cases that differ only on the aggregator. A worker pulls a whole
+//! unit, simulates (or converges) and audits its market once
+//! ([`Pipeline::run_final`]: an enforced unit simulates only its
+//! repaired config, never the unrepaired baseline it would not read),
+//! then scores each case's aggregator on that one trace. The simulator
+//! is a pure function of its config, so this is byte-identical to
+//! running every case alone through the full pipeline
+//! ([`run_grid_opts`] with `reuse_sim: false`; `tests/sweep_determinism.rs`
+//! pins equality across jobs and shard merges).
 //!
 //! Grid syntax (the CLI's `--grid` argument): `;`-separated
 //! `axis=value,value,…` entries —
@@ -63,9 +61,8 @@
 //! enforcement, majority-vote aggregation.
 //!
 //! Aggregation is **post-simulation**: the `aggregator` axis rescores
-//! one trace's answer matrix, so it never forks the simulation cache —
-//! cells differing only on the aggregator share a baseline exactly as
-//! `enforce`-only siblings do.
+//! one trace's answer matrix, so cells differing only on the aggregator
+//! are one unit of work.
 //!
 //! ```
 //! use faircrowd::sweep::{self, SweepGrid};
@@ -123,8 +120,8 @@ pub struct SweepGrid {
     /// iterated to their fixed point by the pipeline before auditing.
     pub strategies: Option<Vec<String>>,
     /// Aggregator-registry names the consensus-quality column is scored
-    /// under (default: `["majority"]`). Post-simulation: never forks
-    /// the simulation cache.
+    /// under (default: `["majority"]`). Post-simulation: never forks a
+    /// unit of work.
     pub aggregators: Option<Vec<String>>,
 }
 
@@ -631,15 +628,15 @@ pub struct SweepResult {
 /// Run every case of `grid` on a pool of `jobs` worker threads
 /// (clamped to at least 1) and fold the reports into per-cell
 /// aggregates. Output is deterministic: identical for any `jobs`, and
-/// identical with the simulation cache on (the default) or off.
+/// identical with units of work on (the default) or off.
 pub fn run_grid(grid: &SweepGrid, jobs: usize) -> Result<SweepResult, FaircrowdError> {
     run_grid_opts(grid, jobs, true)
 }
 
-/// [`run_grid`] with the baseline-simulation cache switchable.
-/// `reuse_sim: false` re-simulates every case from scratch — it exists
-/// for the determinism tests and the `traceio_baseline` bench, which
-/// pin that the cache changes wall-clock and nothing else.
+/// [`run_grid`] with units of work switchable. `reuse_sim: false` runs
+/// every case alone through the full [`Pipeline::run`] — the uncached
+/// oracle of the determinism tests and the `traceio_baseline` bench,
+/// which pin that units change wall-clock and nothing else.
 pub fn run_grid_opts(
     grid: &SweepGrid,
     jobs: usize,
@@ -1284,7 +1281,7 @@ mod tests {
     #[test]
     fn aggregator_axis_shares_the_simulation_key() {
         // Cells differing only on the aggregator rescore one trace:
-        // they must share a sim-cache slot (the axis is post-sim).
+        // they must share a sim key (the axis is post-sim).
         let grid = SweepGrid::parse("rounds=6;aggregator=majority,weighted_majority").unwrap();
         let cases = grid.expand().unwrap();
         assert_eq!(cases.len(), 2);
@@ -1457,9 +1454,8 @@ mod tests {
 
     #[test]
     fn cached_and_uncached_sweeps_are_byte_identical() {
-        // The simulation cache (cells differing only on `enforce` share
-        // one baseline trace) must change wall-clock and nothing else —
-        // across different job counts too.
+        // Units of work must change wall-clock and nothing else —
+        // across stacks and different job counts too.
         let grid =
             SweepGrid::parse("scenario=baseline;rounds=8;seed=1,2;enforce=none,grace,parity")
                 .unwrap();

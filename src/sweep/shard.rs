@@ -14,21 +14,19 @@
 //! ## Partition: round-robin over baseline clusters
 //!
 //! Cases are not dealt out cell-by-cell. The sweep's dominant cost is
-//! simulation, and cases differing only on the `enforce` axis share one
-//! baseline trace through the per-run simulation cache
-//! (`SweepCase::sim_key`) — a cache that lives inside one process.
-//! Dealing cells round-robin would scatter each baseline's enforce
-//! variants across shards and re-simulate the baseline once *per
-//! shard*, silently forfeiting the cache's ~1.65× win. Instead the
-//! partition groups cases into **clusters** sharing a `sim_key`
-//! (clusters are numbered in first-occurrence order over the
-//! expansion) and deals whole clusters round-robin:
-//! `shard(case) = cluster(case) % N`. Every cluster has exactly one
-//! case per enforcement stack, so shards stay balanced to within one
-//! cluster, and each shard's private cache sees every enforce variant
-//! of its baselines. The tradeoff: a grid with fewer clusters than
-//! shards leaves trailing shards empty — acceptable, because such grids
-//! are too small to shard profitably in the first place.
+//! simulation, and cases differing only on the aggregator are one unit
+//! of work inside one process: their market is simulated and audited
+//! once. Dealing cells round-robin would scatter a unit's aggregator
+//! variants across shards and simulate its market once *per shard*.
+//! Instead the partition groups cases into **clusters** sharing a
+//! `sim_key` — every stack and aggregator of one unrepaired market, so
+//! a union of units (clusters are numbered in first-occurrence order
+//! over the expansion) — and deals whole clusters round-robin:
+//! `shard(case) = cluster(case) % N`. Every cluster has the same number
+//! of cases, so shards stay balanced to within one cluster. The
+//! tradeoff: a grid with fewer clusters than shards leaves trailing
+//! shards empty — acceptable, because such grids are too small to shard
+//! profitably in the first place.
 //!
 //! ## Part files: `faircrowd-sweep-part` v1
 //!
@@ -182,8 +180,7 @@ pub struct ShardRun {
 /// part file at `out`. If `out` already holds a part for this exact
 /// grid and shard, its cells are **resumed** — loaded, skipped, never
 /// re-run — and only the missing cells execute (on the usual worker
-/// pool, with the per-process simulation cache keyed over just this
-/// shard's cases). A part for a *different* grid or shard is rejected
+/// pool, in units of work formed over just this shard's cases). A part for a *different* grid or shard is rejected
 /// with a named error, not overwritten.
 pub fn run_shard(
     grid: &SweepGrid,
@@ -194,7 +191,7 @@ pub fn run_shard(
     run_shard_opts(grid, spec, out, jobs, true, None)
 }
 
-/// [`run_shard`] with the simulation cache switchable (for the bench;
+/// [`run_shard`] with units of work switchable (for the bench;
 /// output is identical either way) and a per-cell completion hook
 /// (the CLI's `--progress`), called with each cell's **grid** index as
 /// it finishes. The hook fires only for cells computed now, not for
@@ -846,9 +843,9 @@ mod tests {
     fn partition_keeps_enforce_clusters_together_and_balances() {
         let cases = grid().expand().unwrap();
         let shard_of = partition(&cases, 3);
-        // Cases sharing a sim key (differing only on `enforce`) must
-        // land on the same shard — that is what keeps the baseline
-        // cache effective under sharding.
+        // Cases sharing a sim key (differing only on `enforce` or the
+        // aggregator) must land on the same shard — that is what keeps
+        // every unit of work whole under sharding.
         let mut shard_of_key: HashMap<_, usize> = HashMap::new();
         for (i, case) in cases.iter().enumerate() {
             let prev = shard_of_key.entry(case.sim_key()).or_insert(shard_of[i]);
