@@ -46,7 +46,36 @@ use faircrowd::model::FaircrowdError;
 use faircrowd::prelude::*;
 use faircrowd::sim::catalog as scenarios;
 use faircrowd::sim::{strategy, StrategyChoice};
+use std::io::Write as _;
 use std::process::ExitCode;
+
+/// `print!` for everything the verbs write to stdout; see [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write to stdout. A reader that stops early (`faircrowd audit | head
+/// -1`) closes the pipe; the process then ends quietly with status 0,
+/// as it would on SIGPIPE, instead of panicking. Any other write error
+/// is reported and fails the process.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(err) = std::io::stdout().write_fmt(args) {
+        if err.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {err}");
+        std::process::exit(1);
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -79,7 +108,9 @@ fn main() -> ExitCode {
             eprintln!("error: {err}");
             if matches!(err, FaircrowdError::Usage { .. }) {
                 eprintln!();
-                usage();
+                // Best effort: a closed stdout must not turn this
+                // failure into the quiet success of `write_stdout`.
+                let _ = writeln!(std::io::stdout(), "{}", usage_text());
             }
             ExitCode::FAILURE
         }
@@ -87,7 +118,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() {
-    println!("{}", usage_text());
+    outln!("{}", usage_text());
 }
 
 /// The full `--help` text. A function (not an inline `println!`) so the
@@ -191,20 +222,20 @@ fn usage_text() -> String {
 }
 
 fn scenarios_cmd() -> Result<(), FaircrowdError> {
-    println!("scenario catalog (faircrowd-sim::catalog):\n");
-    println!("static family — fixed parameterisations, one simulation pass:");
+    outln!("scenario catalog (faircrowd-sim::catalog):\n");
+    outln!("static family — fixed parameterisations, one simulation pass:");
     for name in scenarios::STATIC_NAMES {
-        println!("  {name:<20} {}", scenarios::describe(name).unwrap_or(""));
+        outln!("  {name:<20} {}", scenarios::describe(name).unwrap_or(""));
     }
-    println!("\nstrategic family — agents adapt; iterated to a fixed point before auditing:");
+    outln!("\nstrategic family — agents adapt; iterated to a fixed point before auditing:");
     for name in scenarios::STRATEGIC_NAMES {
-        println!("  {name:<20} {}", scenarios::describe(name).unwrap_or(""));
+        outln!("  {name:<20} {}", scenarios::describe(name).unwrap_or(""));
     }
-    println!(
+    outln!(
         "\nagent strategies (--strategy, and the sweep's strategy axis):\n  {}",
         strategy::NAMES.join(" | ")
     );
-    println!(
+    outln!(
         "\nuse `faircrowd run --scenario <name>` to audit one, \
          `faircrowd converge --scenario <name>` to watch a strategic one\n\
          settle, or sweep them all:\n  \
@@ -215,7 +246,7 @@ fn scenarios_cmd() -> Result<(), FaircrowdError> {
 
 fn axioms() -> Result<(), FaircrowdError> {
     for id in AxiomId::ALL {
-        println!("{}\n  {}\n", id.label(), id.statement());
+        outln!("{}\n  {}\n", id.label(), id.statement());
     }
     Ok(())
 }
@@ -262,6 +293,52 @@ fn positive_flag(args: &[String], flag: &str, default: u64) -> Result<u64, Fairc
             ))),
         },
     }
+}
+
+/// The market flags shared by `run`, `audit`, `converge` and `export`.
+const MARKET_FLAGS: [&str; 7] = [
+    "--scenario",
+    "--policy",
+    "--strategy",
+    "--seed",
+    "--rounds",
+    "--workers",
+    "--opaque",
+];
+
+/// The flags that take no value.
+const SWITCHES: [&str; 2] = ["--opaque", "--live"];
+
+/// Reject what `faircrowd <verb>` would otherwise silently ignore: a
+/// flag that is neither `supported` nor `diagnosed` (misused flags the
+/// verb answers with its own, more specific usage error), or a bare
+/// argument that is no flag's value. A typo such as `--sacle 4` must
+/// not quietly run the default market.
+fn reject_unknown(
+    verb: &str,
+    args: &[String],
+    supported: &[&str],
+    diagnosed: &[&str],
+) -> Result<(), FaircrowdError> {
+    let mut expects_value = false;
+    for arg in args {
+        let arg = arg.as_str();
+        if expects_value {
+            expects_value = false;
+        } else if supported.contains(&arg) || diagnosed.contains(&arg) {
+            expects_value = !SWITCHES.contains(&arg);
+        } else if arg.starts_with("--") {
+            return Err(FaircrowdError::usage(format!(
+                "unknown flag `{arg}` for `faircrowd {verb}`; supported: {}",
+                supported.join(" ")
+            )));
+        } else {
+            return Err(FaircrowdError::usage(format!(
+                "unexpected argument `{arg}` for `faircrowd {verb}`; it takes flags only"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// The shared market scenario behind `run` and `audit`: a catalog
@@ -346,6 +423,13 @@ const TRACE_CONFLICTS: [&str; 9] = [
 ];
 
 fn run_cmd(args: &[String], with_enforce: bool) -> Result<(), FaircrowdError> {
+    if with_enforce {
+        let supported = [&MARKET_FLAGS[..], &["--enforce", "--live"]].concat();
+        reject_unknown("run", args, &supported, &["--trace"])?;
+    } else {
+        let supported = [&MARKET_FLAGS[..], &["--trace"]].concat();
+        reject_unknown("audit", args, &supported, &["--enforce", "--live"])?;
+    }
     if let Some(path) = flag_value(args, "--trace")? {
         if with_enforce {
             return Err(FaircrowdError::usage(
@@ -374,13 +458,13 @@ fn run_cmd(args: &[String], with_enforce: bool) -> Result<(), FaircrowdError> {
         return run_live(args, pipeline);
     }
     let result = pipeline.run()?;
-    println!(
+    outln!(
         "auditing: policy={}, seed={}, rounds={}\n",
         result.config.policy.label(),
         result.config.seed,
         result.config.rounds
     );
-    print!("{}", result.render());
+    out!("{}", result.render());
     Ok(())
 }
 
@@ -399,15 +483,15 @@ fn run_live(args: &[String], pipeline: Pipeline) -> Result<(), FaircrowdError> {
     // source the batch path prints — so it can never drift from what
     // actually runs.
     let config = pipeline.scenario_config();
-    println!(
+    outln!(
         "live-auditing: policy={}, seed={}, rounds={}\n",
         config.policy.label(),
         config.seed,
         config.rounds
     );
-    let live = pipeline.run_live(|finding| println!("{finding}"))?;
+    let live = pipeline.run_live(|finding| outln!("{finding}"))?;
     let shown = live.findings.len();
-    println!(
+    outln!(
         "\n{} live finding(s){}\n",
         shown + live.suppressed_findings,
         if live.suppressed_findings > 0 {
@@ -416,7 +500,7 @@ fn run_live(args: &[String], pipeline: Pipeline) -> Result<(), FaircrowdError> {
             String::new()
         }
     );
-    print!("{}", live.artifacts.render("live"));
+    out!("{}", live.artifacts.render("live"));
     Ok(())
 }
 
@@ -427,6 +511,13 @@ fn run_live(args: &[String], pipeline: Pipeline) -> Result<(), FaircrowdError> {
 /// converged trace from the axiom table onward (the CI converge smoke
 /// does exactly that).
 fn converge_cmd(args: &[String]) -> Result<(), FaircrowdError> {
+    let supported = [&MARKET_FLAGS[..], &["--tolerance", "--max-iters", "--gain"]].concat();
+    reject_unknown(
+        "converge",
+        args,
+        &supported,
+        &["--trace", "--live", "--enforce"],
+    )?;
     if args.iter().any(|a| a == "--trace") {
         return Err(FaircrowdError::usage(
             "--trace is only valid with `faircrowd audit`/`replay`: `converge` iterates a \
@@ -449,7 +540,7 @@ fn converge_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     };
     let pipeline = pipeline_from_flags(args, false)?.converge_options(opts.clone());
     let config = pipeline.scenario_config();
-    println!(
+    outln!(
         "converging: strategy={}, policy={}, seed={}, rounds={} \
          (tolerance {}, cap {}, gain {})\n",
         config.strategy.label(),
@@ -462,27 +553,29 @@ fn converge_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     );
     let run = pipeline.run_converged()?;
     for it in &run.history {
-        println!(
+        outln!(
             "iteration {:>2}: residual {:.6}  retention {:>5.1}%",
             it.iteration,
             it.residual,
             it.summary.retention * 100.0
         );
     }
-    println!("\nfixed point after {} iteration(s)\n", run.iterations);
-    print!("{}", run.artifacts.render("converged"));
+    outln!("\nfixed point after {} iteration(s)\n", run.iterations);
+    out!("{}", run.artifacts.render("converged"));
     Ok(())
 }
 
 /// `faircrowd export`: simulate the flag-selected market and write its
 /// trace to `--out` (format by extension: `.jsonl` → JSONL, else JSON).
 fn export_cmd(args: &[String]) -> Result<(), FaircrowdError> {
+    let supported = [&MARKET_FLAGS[..], &["--out"]].concat();
+    reject_unknown("export", args, &supported, &["--enforce"])?;
     let out = flag_value(args, "--out")?.ok_or_else(|| {
         FaircrowdError::usage("export requires --out FILE (`.jsonl` for the line-oriented form)")
     })?;
     let trace = pipeline_from_flags(args, false)?.simulate()?;
     faircrowd::core::persist::save(&trace, out)?;
-    println!(
+    outln!(
         "exported {}: {} workers, {} tasks, {} submissions, {} events",
         out,
         trace.workers.len(),
@@ -517,7 +610,7 @@ fn replay_cmd(args: &[String]) -> Result<(), FaircrowdError> {
 /// from the audit table onward (the CI smoke step does exactly that).
 fn replay_file(path: &str) -> Result<(), FaircrowdError> {
     let trace = faircrowd::core::persist::load(path)?;
-    println!(
+    outln!(
         "replaying {path}: {} workers, {} tasks, {} events\n",
         trace.workers.len(),
         trace.tasks.len(),
@@ -525,7 +618,7 @@ fn replay_file(path: &str) -> Result<(), FaircrowdError> {
     );
     // `replay_owned`: recorded logs can be large, don't copy them.
     let artifacts = Pipeline::new().replay_owned(trace)?;
-    print!("{}", artifacts.render("replayed"));
+    out!("{}", artifacts.render("replayed"));
     Ok(())
 }
 
@@ -599,7 +692,7 @@ fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
             .and_then(|c| Ok((LiveAuditor::resume(AuditConfig::default(), &c)?, c)));
         match restored {
             Ok((restored, c)) => {
-                println!(
+                outln!(
                     "resumed from checkpoint seq {} (skipping {} line(s))",
                     c.seq(),
                     c.source_lines()
@@ -617,7 +710,7 @@ fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
                 // the restarted watch's output the stream's complete
                 // finding history.
                 for finding in auditor.findings() {
-                    println!("{finding}");
+                    outln!("{finding}");
                 }
             }
             Err(e) => {
@@ -663,7 +756,7 @@ fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
                     .apply_record(record)
                     .map_err(|e| at_watch_line(e, reader.lines_fed()))?;
                 for finding in findings {
-                    println!("{finding}");
+                    outln!("{finding}");
                 }
             }
         }
@@ -768,7 +861,7 @@ fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
         faircrowd::core::checkpoint::save_auditor(&auditor, reader.lines_fed() as u64, ck)?;
     }
     for finding in auditor.finalize() {
-        println!("{finding}");
+        outln!("{finding}");
     }
     // A resumed watch skips the end-of-stream referential gate: its
     // prefix was validated before the checkpoint was taken (and the
@@ -780,7 +873,7 @@ fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     let (report, wages) = auditor.final_artifacts(&AxiomId::ALL);
     let events_total = auditor.events_seen();
     let trace = auditor.into_trace();
-    println!(
+    outln!(
         "\nwatched {path}: {} workers, {} tasks, {} events\n",
         trace.workers.len(),
         trace.tasks.len(),
@@ -793,7 +886,7 @@ fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
         report,
         wages,
     };
-    print!("{}", artifacts.render("watched"));
+    out!("{}", artifacts.render("watched"));
     Ok(())
 }
 
@@ -865,7 +958,7 @@ fn serve_cmd(args: &[String]) -> Result<(), FaircrowdError> {
             "no `<market>.jsonl` trace streams or `<market>.fcb` recordings in `{dir}`"
         )));
     }
-    println!(
+    outln!(
         "serving {} market stream(s) from {dir} ({jobs} job(s))",
         sources.len()
     );
@@ -879,10 +972,10 @@ fn serve_cmd(args: &[String]) -> Result<(), FaircrowdError> {
         sources,
     );
     for notice in daemon.take_notices() {
-        println!("{notice}");
+        outln!("{notice}");
     }
     for finding in daemon.restored_findings() {
-        println!("{finding}");
+        outln!("{finding}");
     }
 
     const POLL_MS: u64 = 100;
@@ -890,10 +983,10 @@ fn serve_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     loop {
         let before = daemon.total_lines();
         for finding in daemon.poll() {
-            println!("{finding}");
+            outln!("{finding}");
         }
         for notice in daemon.take_notices() {
-            println!("{notice}");
+            outln!("{notice}");
         }
         if daemon.total_lines() == before {
             if once || idle_waited >= idle_ms {
@@ -906,21 +999,21 @@ fn serve_cmd(args: &[String]) -> Result<(), FaircrowdError> {
         }
     }
     for finding in daemon.finalize() {
-        println!("{finding}");
+        outln!("{finding}");
     }
     for notice in daemon.take_notices() {
-        println!("{notice}");
+        outln!("{notice}");
     }
     for r in daemon.reports()? {
         let resumed = r
             .resumed_from
             .map(|s| format!(", resumed from seq {s}"))
             .unwrap_or_default();
-        println!(
+        outln!(
             "\nmarket `{}`: {} workers, {} tasks, {} events{resumed}\n",
             r.market, r.workers, r.tasks, r.events
         );
-        print!("{}", faircrowd::core::report::render_report(&r.report));
+        out!("{}", faircrowd::core::report::render_report(&r.report));
     }
     let failed = daemon.failed_markets();
     if !failed.is_empty() {
@@ -1041,7 +1134,7 @@ fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
             true,
             hook,
         )?;
-        println!(
+        outln!(
             "shard {spec}: {} of {} grid cell(s); {} ran, {} resumed -> {out}",
             run.shard_cells, run.total_cells, run.ran, run.resumed
         );
@@ -1062,15 +1155,15 @@ fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
     let result = faircrowd::sweep::run_grid_observed(&grid, jobs, true, hook)?;
     match format {
         "table" => {
-            println!(
+            outln!(
                 "grid sweep: {} case(s) over {} cell(s), {jobs} job(s)\n",
                 result.cases.len(),
                 result.groups.len()
             );
-            print!("{}", result.render_table());
+            out!("{}", result.render_table());
         }
-        "json" => print!("{}", result.to_json()),
-        "csv" => print!("{}", result.to_csv()),
+        "json" => out!("{}", result.to_json()),
+        "csv" => out!("{}", result.to_csv()),
         other => {
             return Err(FaircrowdError::usage(format!(
                 "unknown format `{other}`; expected table | json | csv"
@@ -1140,14 +1233,14 @@ fn frontier_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     let result = faircrowd::frontier::run_frontier_observed(&grid, jobs, hook)?;
     match format {
         "table" => {
-            println!(
+            outln!(
                 "policy frontier: {} point(s), {} on the Pareto frontier, {jobs} job(s)\n",
                 result.points.len(),
                 result.frontier().len()
             );
-            print!("{}", result.render_table());
+            out!("{}", result.render_table());
         }
-        "json" => print!("{}", result.to_json()),
+        "json" => out!("{}", result.to_json()),
         other => {
             return Err(FaircrowdError::usage(format!(
                 "unknown format `{other}` for `faircrowd frontier`; expected table | json"
@@ -1183,16 +1276,16 @@ fn merge_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     let result = faircrowd::sweep::shard::merge_paths(&paths)?;
     match format {
         "table" => {
-            println!(
+            outln!(
                 "grid merge: {} case(s) over {} cell(s), {} part(s)\n",
                 result.cases.len(),
                 result.groups.len(),
                 paths.len()
             );
-            print!("{}", result.render_table());
+            out!("{}", result.render_table());
         }
-        "json" => print!("{}", result.to_json()),
-        "csv" => print!("{}", result.to_csv()),
+        "json" => out!("{}", result.to_json()),
+        "csv" => out!("{}", result.to_csv()),
         other => {
             return Err(FaircrowdError::usage(format!(
                 "unknown format `{other}`; expected table | json | csv"
@@ -1203,11 +1296,11 @@ fn merge_cmd(args: &[String]) -> Result<(), FaircrowdError> {
 }
 
 fn policies() -> Result<(), FaircrowdError> {
-    println!("catalog policies (TPL sources in faircrowd-lang::catalog):\n");
+    outln!("catalog policies (TPL sources in faircrowd-lang::catalog):\n");
     for (name, _) in catalog::sources() {
         let policy = catalog::get(name)?;
         let set = policy.disclosure_set();
-        println!(
+        outln!(
             "  {:<16} rules {:>2}   axiom-6 {:>4.0}%   axiom-7 {:>4.0}%",
             policy.name,
             policy.rule_count(),
@@ -1215,7 +1308,7 @@ fn policies() -> Result<(), FaircrowdError> {
             set.axiom7_coverage() * 100.0
         );
     }
-    println!("\nuse `faircrowd render <policy>` for the worker-facing description");
+    outln!("\nuse `faircrowd render <policy>` for the worker-facing description");
     Ok(())
 }
 
@@ -1224,8 +1317,8 @@ fn render_cmd(args: &[String]) -> Result<(), FaircrowdError> {
         .first()
         .ok_or_else(|| FaircrowdError::usage("usage: faircrowd render <policy>"))?;
     let policy = catalog::get(name)?;
-    print!("{}", render::render_policy(&policy));
-    println!(
+    out!("{}", render::render_policy(&policy));
+    outln!(
         "\ncanonical TPL source:\n\n{}",
         printer::print_policy(&policy)
     );
@@ -1237,7 +1330,7 @@ fn compare_cmd(args: &[String]) -> Result<(), FaircrowdError> {
         return Err(FaircrowdError::usage("usage: faircrowd compare <a> <b>"));
     };
     let (pa, pb) = (catalog::get(a)?, catalog::get(b)?);
-    print!("{}", compare(&pa, &pb).render());
+    out!("{}", compare(&pa, &pb).render());
     Ok(())
 }
 
@@ -1547,6 +1640,33 @@ mod tests {
         let err = pipeline_from_flags(&args, false).unwrap_err();
         assert!(matches!(err, FaircrowdError::Usage { .. }), "{err}");
         assert!(err.to_string().contains("faircrowd run"));
+    }
+
+    #[test]
+    fn market_verbs_reject_unknown_flags_and_stray_arguments() {
+        let verbs: [(&str, fn(&[String]) -> Result<(), FaircrowdError>); 4] = [
+            ("run", |a| run_cmd(a, true)),
+            ("audit", |a| run_cmd(a, false)),
+            ("export", export_cmd),
+            ("converge", converge_cmd),
+        ];
+        for (verb, cmd) in verbs {
+            // A typo'd flag is named, never run as the default market.
+            let err = cmd(&argv(&["--sacle", "4", "--out", "x.jsonl"])).unwrap_err();
+            assert!(matches!(err, FaircrowdError::Usage { .. }), "{verb}: {err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains("unknown flag `--sacle`"), "{verb}: {msg}");
+            assert!(msg.contains(&format!("`faircrowd {verb}`")), "{verb}: {msg}");
+            assert!(msg.contains("--scenario"), "{verb} lists its flags: {msg}");
+            // So is a bare argument that is no flag's value.
+            let err = cmd(&argv(&["--rounds", "6", "kos"])).unwrap_err();
+            assert!(err.to_string().contains("unexpected argument `kos`"), "{verb}: {err}");
+        }
+        // Flag values are not mistaken for flags or stray arguments.
+        let err = run_cmd(&argv(&["--polcy", "kos"]), true).unwrap_err();
+        assert!(err.to_string().contains("`--polcy`"), "{err}");
+        let err = export_cmd(&argv(&["--seed", "3", "--opaque", "--rounds", "2"])).unwrap_err();
+        assert!(err.to_string().contains("--out"), "still asks for --out: {err}");
     }
 
     #[test]
