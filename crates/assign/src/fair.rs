@@ -84,6 +84,10 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureParity<P> {
             .map(|(ti, t)| (t.id, ti))
             .collect();
         for class in classes {
+            // A lone worker's union is her own exposure: nothing to grant.
+            if class.len() < 2 {
+                continue;
+            }
             // union of everything anyone in the class was shown
             let mut union = BTreeSet::new();
             for &wi in &class {
@@ -91,16 +95,21 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureParity<P> {
                     union.extend(vis.iter().copied());
                 }
             }
-            // grant the union to every member, restricted to qualification
+            // grant every member the part of the union she was not yet
+            // shown, restricted to qualification
             for &wi in &class {
                 let w = &input.workers[wi];
-                for &tid in &union {
-                    let qualified = position
-                        .get(&tid)
-                        .is_some_and(|&ti| w.qualifies(&input.tasks[ti]));
-                    if qualified {
-                        outcome.show(w.id, tid);
-                    }
+                let qualified = |tid: &TaskId| {
+                    position
+                        .get(tid)
+                        .is_some_and(|&ti| w.qualifies(&input.tasks[ti]))
+                };
+                let grant: Vec<TaskId> = match outcome.visibility.get(&w.id) {
+                    Some(vis) => union.difference(vis).copied().filter(qualified).collect(),
+                    None => union.iter().copied().filter(qualified).collect(),
+                };
+                if !grant.is_empty() {
+                    outcome.visibility.entry(w.id).or_default().extend(grant);
                 }
             }
         }
@@ -155,7 +164,7 @@ mod tests {
     use super::*;
     use crate::policy::fixtures::small_market;
     use crate::policy::{TaskView, WorkerView};
-    use crate::RequesterCentric;
+    use crate::{KosAllocation, RequesterCentric};
     use faircrowd_model::ids::{RequesterId, TaskId, WorkerId};
     use faircrowd_model::money::Credits;
     use faircrowd_model::skills::SkillVector;
@@ -270,6 +279,40 @@ mod tests {
                 !v2.contains(&TaskId::new(3)),
                 "unqualified task granted through parity"
             );
+        }
+    }
+
+    /// Exposure parity as first written: every member is shown every
+    /// qualified task of the class union, one lookup per task.
+    fn parity_reference(input: &AssignInput, mut outcome: AssignmentOutcome) -> AssignmentOutcome {
+        for class in similarity_classes(&input.workers, 0.9, 0.1) {
+            let mut union = BTreeSet::new();
+            for &wi in &class {
+                if let Some(vis) = outcome.visibility.get(&input.workers[wi].id) {
+                    union.extend(vis.iter().copied());
+                }
+            }
+            for &wi in &class {
+                let w = &input.workers[wi];
+                for &tid in &union {
+                    let t = input.tasks.iter().find(|t| t.id == tid);
+                    if t.is_some_and(|t| w.qualifies(t)) {
+                        outcome.show(w.id, tid);
+                    }
+                }
+            }
+        }
+        outcome
+    }
+
+    #[test]
+    fn parity_matches_the_per_task_reference() {
+        for seed in 0..64 {
+            let m = crate::policy::fixtures::random_market(seed, 40, 16);
+            let rng = || StdRng::seed_from_u64(seed);
+            let base = KosAllocation::default().assign(&m, &mut rng());
+            let got = ExposureParity::new(KosAllocation::default()).assign(&m, &mut rng());
+            assert_eq!(got, parity_reference(&m, base), "seed {seed}");
         }
     }
 

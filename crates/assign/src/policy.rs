@@ -302,6 +302,39 @@ pub mod fixtures {
             ],
         }
     }
+
+    /// A seeded random market over three skills: sparse task ids,
+    /// uneven slots and capacities, and coarse qualities, so workers
+    /// fall into similarity classes of every size.
+    #[cfg(test)]
+    pub fn random_market(seed: u64, n_tasks: u32, n_workers: u32) -> AssignInput {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let skills = |rng: &mut rand::rngs::StdRng, p: f64| {
+            SkillVector::from_bools((0..3).map(|_| rng.gen_bool(p)))
+        };
+        AssignInput {
+            tasks: (0..n_tasks)
+                .map(|i| TaskView {
+                    id: TaskId::new(3 * i + 1),
+                    requester: RequesterId::new(i % 2),
+                    skills: skills(&mut rng, 0.3),
+                    reward: Credits::from_cents(10 + i64::from(i % 7)),
+                    slots: rng.gen_range(1..4),
+                    est_duration: SimDuration::from_mins(5),
+                })
+                .collect(),
+            workers: (0..n_workers)
+                .map(|i| WorkerView {
+                    id: WorkerId::new(i),
+                    skills: skills(&mut rng, 0.6),
+                    quality: f64::from(rng.gen_range(5..10u32)) / 10.0,
+                    capacity: rng.gen_range(1..5),
+                    group: None,
+                })
+                .collect(),
+        }
+    }
 }
 
 #[cfg(test)]

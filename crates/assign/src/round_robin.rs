@@ -107,6 +107,55 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The rotation as first written: every turn rescans the tasks in
+    /// order, probing per-task slots and the worker's taken set.
+    fn reference(input: &AssignInput) -> AssignmentOutcome {
+        use std::collections::BTreeSet;
+        let mut outcome = AssignmentOutcome::default();
+        for w in &input.workers {
+            for t in &input.tasks {
+                if w.qualifies(t) {
+                    outcome.show(w.id, t.id);
+                }
+            }
+        }
+        let mut slots: BTreeMap<_, u32> = input.tasks.iter().map(|t| (t.id, t.slots)).collect();
+        let mut capacity: Vec<u32> = input.workers.iter().map(|w| w.capacity).collect();
+        let mut taken: Vec<BTreeSet<_>> = vec![BTreeSet::new(); input.workers.len()];
+        loop {
+            let mut progressed = false;
+            for (wi, w) in input.workers.iter().enumerate() {
+                if capacity[wi] == 0 {
+                    continue;
+                }
+                let next = input
+                    .tasks
+                    .iter()
+                    .find(|t| w.qualifies(t) && slots[&t.id] > 0 && !taken[wi].contains(&t.id));
+                if let Some(t) = next {
+                    *slots.get_mut(&t.id).unwrap() -= 1;
+                    capacity[wi] -= 1;
+                    taken[wi].insert(t.id);
+                    outcome.assign(w.id, t.id);
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        outcome
+    }
+
+    #[test]
+    fn cursor_rotation_matches_the_rescanning_reference() {
+        for seed in 0..64 {
+            let m = crate::policy::fixtures::random_market(seed, 40, 12);
+            let o = RoundRobin.assign(&m, &mut StdRng::seed_from_u64(0));
+            assert_eq!(o, reference(&m), "seed {seed}");
+        }
+    }
+
     #[test]
     fn empty_market() {
         let o = RoundRobin.assign(&AssignInput::default(), &mut StdRng::seed_from_u64(0));

@@ -1011,7 +1011,10 @@ fn serve_cmd(args: &[String]) -> Result<(), FaircrowdError> {
             .unwrap_or_default();
         outln!(
             "\nmarket `{}`: {} workers, {} tasks, {} events{resumed}\n",
-            r.market, r.workers, r.tasks, r.events
+            r.market,
+            r.workers,
+            r.tasks,
+            r.events
         );
         out!("{}", faircrowd::core::report::render_report(&r.report));
     }
@@ -1136,7 +1139,10 @@ fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
         )?;
         outln!(
             "shard {spec}: {} of {} grid cell(s); {} ran, {} resumed -> {out}",
-            run.shard_cells, run.total_cells, run.ran, run.resumed
+            run.shard_cells,
+            run.total_cells,
+            run.ran,
+            run.resumed
         );
         return Ok(());
     }
@@ -1644,7 +1650,8 @@ mod tests {
 
     #[test]
     fn market_verbs_reject_unknown_flags_and_stray_arguments() {
-        let verbs: [(&str, fn(&[String]) -> Result<(), FaircrowdError>); 4] = [
+        type Verb = fn(&[String]) -> Result<(), FaircrowdError>;
+        let verbs: [(&str, Verb); 4] = [
             ("run", |a| run_cmd(a, true)),
             ("audit", |a| run_cmd(a, false)),
             ("export", export_cmd),
@@ -1653,20 +1660,32 @@ mod tests {
         for (verb, cmd) in verbs {
             // A typo'd flag is named, never run as the default market.
             let err = cmd(&argv(&["--sacle", "4", "--out", "x.jsonl"])).unwrap_err();
-            assert!(matches!(err, FaircrowdError::Usage { .. }), "{verb}: {err:?}");
+            assert!(
+                matches!(err, FaircrowdError::Usage { .. }),
+                "{verb}: {err:?}"
+            );
             let msg = err.to_string();
             assert!(msg.contains("unknown flag `--sacle`"), "{verb}: {msg}");
-            assert!(msg.contains(&format!("`faircrowd {verb}`")), "{verb}: {msg}");
+            assert!(
+                msg.contains(&format!("`faircrowd {verb}`")),
+                "{verb}: {msg}"
+            );
             assert!(msg.contains("--scenario"), "{verb} lists its flags: {msg}");
             // So is a bare argument that is no flag's value.
             let err = cmd(&argv(&["--rounds", "6", "kos"])).unwrap_err();
-            assert!(err.to_string().contains("unexpected argument `kos`"), "{verb}: {err}");
+            assert!(
+                err.to_string().contains("unexpected argument `kos`"),
+                "{verb}: {err}"
+            );
         }
         // Flag values are not mistaken for flags or stray arguments.
         let err = run_cmd(&argv(&["--polcy", "kos"]), true).unwrap_err();
         assert!(err.to_string().contains("`--polcy`"), "{err}");
         let err = export_cmd(&argv(&["--seed", "3", "--opaque", "--rounds", "2"])).unwrap_err();
-        assert!(err.to_string().contains("--out"), "still asks for --out: {err}");
+        assert!(
+            err.to_string().contains("--out"),
+            "still asks for --out: {err}"
+        );
     }
 
     #[test]

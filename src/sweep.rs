@@ -724,20 +724,19 @@ fn run_cases(
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) else {
-                    break;
-                };
-                let outcomes = if reuse_sim {
-                    run_unit(cases, unit)
-                } else {
-                    vec![cases[unit[0]].run()]
-                };
-                for (&i, outcome) in unit.iter().zip(outcomes) {
-                    if let (Some(on_done), Ok(outcome)) = (on_done, &outcome) {
-                        on_done(i, outcome);
+            scope.spawn(|| {
+                while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let outcomes = if reuse_sim {
+                        run_unit(cases, unit)
+                    } else {
+                        vec![cases[unit[0]].run()]
+                    };
+                    for (&i, outcome) in unit.iter().zip(outcomes) {
+                        if let (Some(on_done), Ok(outcome)) = (on_done, &outcome) {
+                            on_done(i, outcome);
+                        }
+                        *slots[i].lock().expect("result slot poisoned") = Some(outcome);
                     }
-                    *slots[i].lock().expect("result slot poisoned") = Some(outcome);
                 }
             });
         }
@@ -1328,7 +1327,10 @@ mod tests {
         .unwrap();
         let cases = grid.expand().unwrap();
         let unit_of = unit_of(&cases);
-        assert!(unit_of.iter().all(|&u| u != usize::MAX), "every case in a unit");
+        assert!(
+            unit_of.iter().all(|&u| u != usize::MAX),
+            "every case in a unit"
+        );
         for (i, a) in cases.iter().enumerate() {
             for (j, b) in cases.iter().enumerate().skip(i + 1) {
                 let same_market = a.scenario == b.scenario

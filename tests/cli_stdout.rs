@@ -34,7 +34,10 @@ fn closed_stdout_keeps_a_usage_error_a_failure() {
         .output()
         .unwrap();
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("unknown flag `--sacle`"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("unknown flag `--sacle`"),
+        "stderr: {stderr}"
+    );
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
 }

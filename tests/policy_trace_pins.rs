@@ -74,7 +74,10 @@ fn converged_policy_cells_reproduce_their_pinned_fixed_points() {
     for (spec, pinned) in CONVERGED_PINS {
         let cfg = config("undercut_churn", 1.0, 12, spec);
         let converged = converge::run(cfg, &ConvergeOptions::default()).unwrap();
-        assert!(converged.iterations >= 2, "{spec}: strategic market must adapt");
+        assert!(
+            converged.iterations >= 2,
+            "{spec}: strategic market must adapt"
+        );
         check(&format!("undercut_churn {spec}"), &converged.trace, pinned);
     }
 }

@@ -55,13 +55,14 @@ fn unit_sweeps_match_the_uncached_oracle_across_jobs_and_shards() {
     let oracle = exports(&run_grid_opts(&grid, 2, false).unwrap());
     for jobs in [1, 2, 3] {
         let units = exports(&run_grid_opts(&grid, jobs, true).unwrap());
-        assert!(units == oracle, "--jobs {jobs} differs from the uncached oracle");
+        assert!(
+            units == oracle,
+            "--jobs {jobs} differs from the uncached oracle"
+        );
     }
     for shards in [2, 3] {
-        let dir = std::env::temp_dir().join(format!(
-            "fc_sweep_units_{}_{shards}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("fc_sweep_units_{}_{shards}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let paths: Vec<_> = (1..=shards)
             .map(|index| {
@@ -75,7 +76,10 @@ fn unit_sweeps_match_the_uncached_oracle_across_jobs_and_shards() {
             })
             .collect();
         let merged = exports(&merge_paths(&paths).unwrap());
-        assert!(merged == oracle, "{shards}-shard merge differs from the oracle");
+        assert!(
+            merged == oracle,
+            "{shards}-shard merge differs from the oracle"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }
