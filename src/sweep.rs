@@ -1277,16 +1277,6 @@ mod tests {
         assert_eq!(cases[4].enforcements.len(), 1, "stack outside aggregator");
     }
 
-    #[test]
-    fn aggregator_axis_shares_the_simulation_key() {
-        // Cells differing only on the aggregator rescore one trace:
-        // they must share a sim key (the axis is post-sim).
-        let grid = SweepGrid::parse("rounds=6;aggregator=majority,weighted_majority").unwrap();
-        let cases = grid.expand().unwrap();
-        assert_eq!(cases.len(), 2);
-        assert_eq!(cases[0].sim_key(), cases[1].sim_key());
-    }
-
     /// Each case's unit index; fails if a case lands in two units.
     fn unit_of(cases: &[SweepCase]) -> Vec<usize> {
         let mut unit_of = vec![usize::MAX; cases.len()];
@@ -1300,7 +1290,9 @@ mod tests {
     }
 
     #[test]
-    fn aggregator_only_variants_share_one_unit() {
+    fn aggregator_axis_shares_the_simulation_key() {
+        // Cells differing only on the aggregator rescore one trace:
+        // they share a sim key (the axis is post-sim) and one unit.
         let grid = SweepGrid::parse("rounds=6;seed=1,2;aggregator=*;enforce=none,parity").unwrap();
         let cases = grid.expand().unwrap();
         let units = units(&cases);
