@@ -1,4 +1,4 @@
-//! P6 — Trace persistence throughput and the sweep simulation cache.
+//! P6 — Trace persistence throughput and the sweep's units of work.
 //!
 //! Criterion view of the two workloads `traceio_baseline` pins in
 //! `BENCH_traceio.json`: encoding/decoding the baseline catalog trace

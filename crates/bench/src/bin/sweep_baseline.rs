@@ -38,7 +38,7 @@ use std::process::Command;
 use std::time::Instant;
 
 /// 8 cells: 2 seeds × 4 enforcement stacks — the grid whose enforce
-/// axis exercises the baseline-simulation cache hardest.
+/// axis exercises the skipped baseline simulations hardest.
 const STACKED: &str =
     "scenario=baseline;seed=0..2;scale=4;enforce=none,transparency,grace,transparency+grace";
 
@@ -237,7 +237,7 @@ fn main() {
     let cache_speedup = uncached_ms / cached_ms;
     assert!(
         cache_speedup >= 1.5,
-        "acceptance: the shard-aware baseline-simulation cache must keep a ≥ 1.5× \
+        "acceptance: shard-aware units of work must keep a ≥ 1.5× \
          win on the stacked-enforce grid (measured {cache_speedup:.2}×)"
     );
 
