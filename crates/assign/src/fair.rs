@@ -84,7 +84,7 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureParity<P> {
             .map(|(ti, t)| (t.id, ti))
             .collect();
         for class in classes {
-            // A lone worker's union is her own exposure: nothing to grant.
+            // A lone worker's union is their own exposure: nothing to grant.
             if class.len() < 2 {
                 continue;
             }
@@ -95,8 +95,8 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureParity<P> {
                     union.extend(vis.iter().copied());
                 }
             }
-            // grant every member the part of the union she was not yet
-            // shown, restricted to qualification
+            // grant every member the part of the union they were not
+            // yet shown, restricted to qualification
             for &wi in &class {
                 let w = &input.workers[wi];
                 let qualified = |tid: &TaskId| {
