@@ -13,9 +13,9 @@
 //!   qualified tasks, eliminating total-exclusion discrimination.
 
 use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy, WorkerView};
+use faircrowd_model::arena::{DenseIdMap, DenseIdSet};
 use faircrowd_model::ids::TaskId;
 use rand::RngCore;
-use std::collections::{BTreeSet, HashMap};
 
 /// Group workers into similarity classes: same-skill (by kernel score ≥
 /// threshold) and close quality. Greedy clustering against each class's
@@ -77,39 +77,40 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureParity<P> {
         let mut outcome = self.base.assign(input, rng);
         let classes =
             similarity_classes(&input.workers, self.skill_threshold, self.quality_tolerance);
-        let position: HashMap<TaskId, usize> = input
+        let position: DenseIdMap<TaskId, usize> = input
             .tasks
             .iter()
             .enumerate()
             .map(|(ti, t)| (t.id, ti))
             .collect();
+        let nothing = DenseIdSet::new();
         for class in classes {
             // A lone worker's union is their own exposure: nothing to grant.
             if class.len() < 2 {
                 continue;
             }
             // union of everything anyone in the class was shown
-            let mut union = BTreeSet::new();
+            let mut union = DenseIdSet::new();
             for &wi in &class {
-                if let Some(vis) = outcome.visibility.get(&input.workers[wi].id) {
-                    union.extend(vis.iter().copied());
+                if let Some(vis) = outcome.visibility.get(input.workers[wi].id) {
+                    union.union_with(vis);
                 }
             }
             // grant every member the part of the union they were not
             // yet shown, restricted to qualification
             for &wi in &class {
                 let w = &input.workers[wi];
-                let qualified = |tid: &TaskId| {
-                    position
-                        .get(tid)
-                        .is_some_and(|&ti| w.qualifies(&input.tasks[ti]))
-                };
-                let grant: Vec<TaskId> = match outcome.visibility.get(&w.id) {
-                    Some(vis) => union.difference(vis).copied().filter(qualified).collect(),
-                    None => union.iter().copied().filter(qualified).collect(),
-                };
+                let own = outcome.visibility.get(w.id).unwrap_or(&nothing);
+                let grant: Vec<TaskId> = union
+                    .difference(own)
+                    .filter(|&tid| {
+                        position
+                            .get(tid)
+                            .is_some_and(|&ti| w.qualifies(&input.tasks[ti]))
+                    })
+                    .collect();
                 if !grant.is_empty() {
-                    outcome.visibility.entry(w.id).or_default().extend(grant);
+                    outcome.visibility.entry(w.id).extend(grant);
                 }
             }
         }
@@ -122,8 +123,8 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureParity<P> {
 pub struct ExposureFloor<P> {
     /// The wrapped base policy.
     pub base: P,
-    /// Minimum tasks each worker must be shown (capped by how many she
-    /// qualifies for).
+    /// Minimum tasks each worker must be shown (capped by how many they
+    /// qualify for).
     pub min_exposure: usize,
 }
 
@@ -135,7 +136,7 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureFloor<P> {
     fn assign(&mut self, input: &AssignInput, rng: &mut dyn RngCore) -> AssignmentOutcome {
         let mut outcome = self.base.assign(input, rng);
         for w in &input.workers {
-            let have = outcome.visibility.get(&w.id).map_or(0, |v| v.len());
+            let have = outcome.visibility.get(w.id).map_or(0, |v| v.len());
             if have >= self.min_exposure {
                 continue;
             }
@@ -144,12 +145,7 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureFloor<P> {
                 if need == 0 {
                     break;
                 }
-                let already = outcome
-                    .visibility
-                    .get(&w.id)
-                    .map(|v| v.contains(&t.id))
-                    .unwrap_or(false);
-                if !already && w.qualifies(t) {
+                if !outcome.sees(w.id, t.id) && w.qualifies(t) {
                     outcome.show(w.id, t.id);
                     need -= 1;
                 }
@@ -171,6 +167,7 @@ mod tests {
     use faircrowd_model::time::SimDuration;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     /// Market with two identical workers (a "similar pair") and one star
     /// worker the requester-centric policy will favour.
@@ -231,12 +228,12 @@ mod tests {
         let base = RequesterCentric.assign(&m, &mut StdRng::seed_from_u64(0));
         let v1 = base
             .visibility
-            .get(&WorkerId::new(1))
+            .get(WorkerId::new(1))
             .cloned()
             .unwrap_or_default();
         let v2 = base
             .visibility
-            .get(&WorkerId::new(2))
+            .get(WorkerId::new(2))
             .cloned()
             .unwrap_or_default();
         // (sanity: the base policy concentrates exposure on w0)
@@ -246,12 +243,12 @@ mod tests {
         let o = wrapped.assign(&m, &mut StdRng::seed_from_u64(0));
         let w1 = o
             .visibility
-            .get(&WorkerId::new(1))
+            .get(WorkerId::new(1))
             .cloned()
             .unwrap_or_default();
         let w2 = o
             .visibility
-            .get(&WorkerId::new(2))
+            .get(WorkerId::new(2))
             .cloned()
             .unwrap_or_default();
         assert_eq!(w1, w2, "similar workers must see the same tasks");
@@ -274,9 +271,9 @@ mod tests {
             quality_tolerance: 0.2,
         };
         let o = wrapped.assign(&m, &mut StdRng::seed_from_u64(0));
-        if let Some(v2) = o.visibility.get(&WorkerId::new(2)) {
+        if let Some(v2) = o.visibility.get(WorkerId::new(2)) {
             assert!(
-                !v2.contains(&TaskId::new(3)),
+                !v2.contains(TaskId::new(3)),
                 "unqualified task granted through parity"
             );
         }
@@ -288,8 +285,8 @@ mod tests {
         for class in similarity_classes(&input.workers, 0.9, 0.1) {
             let mut union = BTreeSet::new();
             for &wi in &class {
-                if let Some(vis) = outcome.visibility.get(&input.workers[wi].id) {
-                    union.extend(vis.iter().copied());
+                if let Some(vis) = outcome.visibility.get(input.workers[wi].id) {
+                    union.extend(vis.iter());
                 }
             }
             for &wi in &class {
@@ -325,7 +322,7 @@ mod tests {
         };
         let o = wrapped.assign(&m, &mut StdRng::seed_from_u64(0));
         for w in &m.workers {
-            let seen = o.visibility.get(&w.id).map_or(0, |v| v.len());
+            let seen = o.visibility.get(w.id).map_or(0, |v| v.len());
             assert!(seen >= 2, "{} sees only {seen}", w.id);
         }
         assert!(o.check_feasible(&m).is_empty());
@@ -342,7 +339,7 @@ mod tests {
         let o = wrapped.assign(&m, &mut StdRng::seed_from_u64(0));
         let w3 = o
             .visibility
-            .get(&WorkerId::new(3))
+            .get(WorkerId::new(3))
             .cloned()
             .unwrap_or_default();
         assert_eq!(w3.len(), 1);

@@ -4,7 +4,7 @@
 //!
 //! Each open slot (tasks in id order, best-paid first within a round)
 //! goes to the qualified worker with the **lowest utility delivered so
-//! far** — utility being the preference score of the tasks she was
+//! far** — utility being the preference score of the tasks they were
 //! already handed this round plus a carry-over of past rounds. The
 //! policy is an online water-filling of worker utility: nobody is handed
 //! a second helping while a qualified, available worker is still at a
@@ -47,13 +47,7 @@ impl AssignmentPolicy for FairDelivery {
 
         // Self-selection-style exposure: every qualified worker sees the
         // task. The balancing binds only the delivery (assignments).
-        for task in &input.tasks {
-            for w in &input.workers {
-                if w.qualifies(task) {
-                    outcome.show(w.id, task.id);
-                }
-            }
-        }
+        outcome.show_all_qualified(input);
 
         // Best-paid tasks first: high-utility slots are the contested
         // resource, so they are levelled first.
@@ -132,7 +126,7 @@ mod tests {
         policy.assign(&market, &mut StdRng::seed_from_u64(0));
         let after_round_one = policy.delivered.clone();
         assert!(!after_round_one.is_empty());
-        // Pre-load one worker with a huge delivered utility: she must
+        // Pre-load one worker with a huge delivered utility: they must
         // not be picked for the contested single-slot tasks again.
         let heavy = WorkerId::new(0);
         policy.delivered.insert(heavy, 1e9);

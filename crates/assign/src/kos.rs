@@ -153,8 +153,8 @@ mod tests {
         for seed in 0..200 {
             let mut policy = KosAllocation { l: 3, r: 10 };
             let o = policy.assign(&m, &mut StdRng::seed_from_u64(seed));
-            for (w, vis) in &o.visibility {
-                *counts.entry(*w).or_insert(0) += vis.len();
+            for (w, vis) in o.visibility.iter() {
+                *counts.entry(w).or_insert(0) += vis.len();
             }
         }
         let max = *counts.values().max().unwrap() as f64;

@@ -5,10 +5,10 @@
 //! assigned on arrival, the scheme "accounting for worker skills to
 //! maximize the requester's total gain from the completed work". We
 //! implement the greedy marginal-utility rule (the standard practical
-//! variant): an arriving worker is routed to the open task where her
+//! variant): an arriving worker is routed to the open task where their
 //! expected contribution `quality × reward` is largest.
 //!
-//! Like [`crate::RequesterCentric`], the worker is shown only what she is
+//! Like [`crate::RequesterCentric`], the worker is shown only what they are
 //! offered — online platforms that route work do not reveal the queue.
 
 use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy};
@@ -92,14 +92,15 @@ mod tests {
     fn visibility_limited_to_offers() {
         let m = small_market();
         let o = OnlineMatching.assign(&m, &mut StdRng::seed_from_u64(1));
-        for (w, vis) in &o.visibility {
+        for (w, vis) in o.visibility.iter() {
+            let vis: std::collections::BTreeSet<_> = vis.iter().collect();
             let assigned: std::collections::BTreeSet<_> = o
                 .assignments
                 .iter()
-                .filter(|(aw, _)| aw == w)
+                .filter(|&&(aw, _)| aw == w)
                 .map(|(_, t)| *t)
                 .collect();
-            assert_eq!(vis, &assigned);
+            assert_eq!(vis, assigned);
         }
     }
 

@@ -8,6 +8,7 @@
 //! utility-optimal and exposure-discriminatory at the same time, which is
 //! exactly the §3.1.1 critique.
 
+use faircrowd_model::arena::{DenseIdMap, DenseIdSet};
 use faircrowd_model::ids::{RequesterId, TaskId, WorkerId};
 use faircrowd_model::money::Credits;
 use faircrowd_model::skills::SkillVector;
@@ -33,7 +34,7 @@ pub struct TaskView {
     pub est_duration: SimDuration,
 }
 
-/// A worker as a policy sees her.
+/// A worker as a policy sees them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerView {
     /// Worker id.
@@ -81,10 +82,11 @@ impl AssignInput {
 }
 
 /// What a policy decided.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AssignmentOutcome {
-    /// Which tasks each worker was shown (exposure).
-    pub visibility: BTreeMap<WorkerId, BTreeSet<TaskId>>,
+    /// Which tasks each worker was shown (exposure): one task bitset
+    /// per worker that was shown anything.
+    pub visibility: DenseIdMap<WorkerId, DenseIdSet<TaskId>>,
     /// Assignments made, in decision order.
     pub assignments: Vec<(WorkerId, TaskId)>,
 }
@@ -92,11 +94,30 @@ pub struct AssignmentOutcome {
 impl AssignmentOutcome {
     /// Record that `worker` was shown `task`.
     pub fn show(&mut self, worker: WorkerId, task: TaskId) {
-        self.visibility.entry(worker).or_default().insert(task);
+        self.visibility.entry(worker).insert(task);
+    }
+
+    /// Show every worker every task they qualify for (the full exposure
+    /// of self-selection-style policies).
+    pub fn show_all_qualified(&mut self, input: &AssignInput) {
+        for w in &input.workers {
+            for t in &input.tasks {
+                if w.qualifies(t) {
+                    self.show(w.id, t.id);
+                }
+            }
+        }
+    }
+
+    /// Was `worker` shown `task`?
+    pub fn sees(&self, worker: WorkerId, task: TaskId) -> bool {
+        self.visibility
+            .get(worker)
+            .is_some_and(|vis| vis.contains(task))
     }
 
     /// Record an assignment; an assignment implies visibility (a worker
-    /// cannot take a task she never saw).
+    /// cannot take a task they never saw).
     pub fn assign(&mut self, worker: WorkerId, task: TaskId) {
         self.show(worker, task);
         self.assignments.push((worker, task));
@@ -148,12 +169,7 @@ impl AssignmentOutcome {
             }
             *per_task.entry(t).or_insert(0) += 1;
             *per_worker.entry(w).or_insert(0) += 1;
-            let visible = self
-                .visibility
-                .get(&w)
-                .map(|v| v.contains(&t))
-                .unwrap_or(false);
-            if !visible {
+            if !self.sees(w, t) {
                 problems.push(format!("{w} assigned {t} without visibility"));
             }
         }
@@ -358,7 +374,7 @@ mod tests {
     fn outcome_assign_implies_visibility() {
         let mut o = AssignmentOutcome::default();
         o.assign(WorkerId::new(0), TaskId::new(1));
-        assert!(o.visibility[&WorkerId::new(0)].contains(&TaskId::new(1)));
+        assert!(o.sees(WorkerId::new(0), TaskId::new(1)));
     }
 
     #[test]

@@ -27,8 +27,8 @@ impl AssignmentPolicy for RequesterCentric {
         let mut capacity: BTreeMap<_, u32> =
             input.workers.iter().map(|w| (w.id, w.capacity)).collect();
 
-        // Most valuable tasks first: the requester protects her highest
-        // rewards with her best workers.
+        // Most valuable tasks first: the requester protects their highest
+        // rewards with their best workers.
         let mut task_order: Vec<usize> = (0..input.tasks.len()).collect();
         task_order.sort_by(|&a, &b| {
             input.tasks[b]
@@ -105,16 +105,17 @@ mod tests {
         let m = small_market();
         let o = RequesterCentric.assign(&m, &mut StdRng::seed_from_u64(0));
         // w3 (quality .40) only qualifies for t0; with better workers
-        // available she may see at most t0 — and crucially, every worker's
-        // visibility equals exactly her assignments.
-        for (w, vis) in &o.visibility {
+        // available they may see at most t0 — and crucially, every worker's
+        // visibility equals exactly their assignments.
+        for (w, vis) in o.visibility.iter() {
+            let vis: std::collections::BTreeSet<_> = vis.iter().collect();
             let assigned: std::collections::BTreeSet<_> = o
                 .assignments
                 .iter()
-                .filter(|(aw, _)| aw == w)
+                .filter(|&&(aw, _)| aw == w)
                 .map(|(_, t)| *t)
                 .collect();
-            assert_eq!(vis, &assigned, "visibility leaks beyond assignments");
+            assert_eq!(vis, assigned, "visibility leaks beyond assignments");
         }
     }
 

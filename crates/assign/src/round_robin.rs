@@ -19,13 +19,7 @@ impl AssignmentPolicy for RoundRobin {
 
     fn assign(&mut self, input: &AssignInput, _rng: &mut dyn RngCore) -> AssignmentOutcome {
         let mut outcome = AssignmentOutcome::default();
-        for w in &input.workers {
-            for t in &input.tasks {
-                if w.qualifies(t) {
-                    outcome.show(w.id, t.id);
-                }
-            }
-        }
+        outcome.show_all_qualified(input);
         let mut slots: Vec<u32> = input.tasks.iter().map(|t| t.slots).collect();
         let mut capacity: Vec<u32> = input.workers.iter().map(|w| w.capacity).collect();
         // Each worker takes the first (lowest-id) qualified open task it
@@ -87,7 +81,7 @@ mod tests {
         }
         // Rotation guarantee: nobody receives a second task until every
         // worker has had a first-round turn. w3 only qualifies for t0,
-        // whose two slots fill during round one, so she may go empty —
+        // whose two slots fill during round one, so they may go empty —
         // but the spread among the served must stay within one task.
         let served_max = *per_worker.values().max().unwrap();
         let served_min = *per_worker.values().min().unwrap();

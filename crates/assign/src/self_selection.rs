@@ -24,13 +24,7 @@ impl AssignmentPolicy for SelfSelection {
     fn assign(&mut self, input: &AssignInput, rng: &mut dyn RngCore) -> AssignmentOutcome {
         let mut outcome = AssignmentOutcome::default();
         // Full visibility for the qualified.
-        for w in &input.workers {
-            for t in &input.tasks {
-                if w.qualifies(t) {
-                    outcome.show(w.id, t.id);
-                }
-            }
-        }
+        outcome.show_all_qualified(input);
         // Workers arrive in random order and claim by preference.
         let mut slots: BTreeMap<_, u32> = input.tasks.iter().map(|t| (t.id, t.slots)).collect();
         let mut order: Vec<usize> = (0..input.workers.len()).collect();
@@ -79,10 +73,7 @@ mod tests {
         for w in &m.workers {
             for t in &m.tasks {
                 assert_eq!(
-                    o.visibility
-                        .get(&w.id)
-                        .map(|v| v.contains(&t.id))
-                        .unwrap_or(false),
+                    o.sees(w.id, t.id),
                     w.qualifies(t),
                     "visibility must exactly match qualification"
                 );

@@ -28,13 +28,7 @@ impl AssignmentPolicy for WorkerCentric {
 
     fn assign(&mut self, input: &AssignInput, _rng: &mut dyn RngCore) -> AssignmentOutcome {
         let mut outcome = AssignmentOutcome::default();
-        for w in &input.workers {
-            for t in &input.tasks {
-                if w.qualifies(t) {
-                    outcome.show(w.id, t.id);
-                }
-            }
-        }
+        outcome.show_all_qualified(input);
         if input.workers.is_empty() || input.tasks.is_empty() {
             return outcome;
         }
@@ -92,13 +86,7 @@ mod tests {
         let o = WorkerCentric.assign(&m, &mut StdRng::seed_from_u64(0));
         for w in &m.workers {
             for t in &m.tasks {
-                assert_eq!(
-                    o.visibility
-                        .get(&w.id)
-                        .map(|v| v.contains(&t.id))
-                        .unwrap_or(false),
-                    w.qualifies(t)
-                );
+                assert_eq!(o.sees(w.id, t.id), w.qualifies(t));
             }
         }
     }

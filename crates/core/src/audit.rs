@@ -29,7 +29,9 @@ use std::sync::Mutex;
 pub struct AuditConfig {
     /// The similarity regime the axioms quantify under.
     pub similarity: SimilarityConfig,
-    /// Maximum violation witnesses retained per axiom.
+    /// Maximum violation witnesses retained per axiom. Witness text is
+    /// rendered only for the retained violations; every report's
+    /// `violation_count` still counts all of them.
     pub max_witnesses: usize,
     /// Fan the axioms out over a scoped thread pool (default). Reports
     /// are identical either way; serial runs exist for benchmarking and

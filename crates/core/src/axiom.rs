@@ -201,7 +201,9 @@ pub trait Axiom {
     }
 }
 
-/// Collect violations with a cap, tracking the true total.
+/// Collect violations with a cap, tracking the true total. Witness text
+/// is rendered only for the violations kept: past the cap a push counts
+/// and never calls its closure.
 pub(crate) struct ViolationCollector {
     axiom: AxiomId,
     cap: usize,
@@ -219,15 +221,23 @@ impl ViolationCollector {
         }
     }
 
-    pub(crate) fn push(&mut self, severity: f64, description: String) {
+    /// Count one violation; `describe` renders its witness and runs only
+    /// while fewer than `cap` violations are kept.
+    pub(crate) fn push(&mut self, severity: f64, describe: impl FnOnce() -> String) {
         self.total += 1;
         if self.items.len() < self.cap {
             self.items.push(Violation {
                 axiom: self.axiom,
                 severity,
-                description,
+                description: describe(),
             });
         }
+    }
+
+    /// [`ViolationCollector::push`] for a witness already rendered (the
+    /// naive oracle formats eagerly, independent of the cap).
+    pub(crate) fn push_rendered(&mut self, severity: f64, description: String) {
+        self.push(severity, || description);
     }
 
     pub(crate) fn truncated(&self) -> bool {
@@ -263,10 +273,32 @@ mod tests {
     fn collector_caps_but_counts() {
         let mut c = ViolationCollector::new(AxiomId::A3Compensation, 2);
         for i in 0..5 {
-            c.push(1.0, format!("violation {i}"));
+            c.push(1.0, || format!("violation {i}"));
         }
         assert_eq!(c.items.len(), 2);
         assert_eq!(c.total, 5);
         assert!(c.truncated());
+    }
+
+    #[test]
+    fn collector_renders_only_the_witnesses_it_keeps() {
+        for (cap, total) in [(0, 4), (2, 5), (3, 3), (25, 7), (1, 0)] {
+            let mut c = ViolationCollector::new(AxiomId::A2RequesterAssignment, cap);
+            let mut calls = 0;
+            for i in 0..total {
+                c.push(1.0, || {
+                    calls += 1;
+                    format!("violation {i}")
+                });
+            }
+            assert_eq!(calls, total.min(cap), "cap {cap}, total {total}");
+            assert_eq!(c.total, total);
+            assert_eq!(c.truncated(), total > cap);
+            let kept: Vec<&str> = c.items.iter().map(|v| v.description.as_str()).collect();
+            let expected: Vec<String> = (0..total.min(cap))
+                .map(|i| format!("violation {i}"))
+                .collect();
+            assert_eq!(kept, expected);
+        }
     }
 }

@@ -51,10 +51,9 @@ impl Axiom for WorkerAssignmentFairness {
             let overlap = o.jaccard();
             overlaps.push(overlap);
             if overlap < 1.0 - 1e-9 {
-                collector.push(
-                    1.0 - overlap,
-                    crate::axioms::a1_witness(wi.id, wj.id, sim, &o, overlap),
-                );
+                collector.push(1.0 - overlap, || {
+                    crate::axioms::a1_witness(wi.id, wj.id, sim, &o, overlap)
+                });
             }
         }
 

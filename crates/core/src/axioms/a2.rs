@@ -50,10 +50,9 @@ impl Axiom for RequesterAssignmentFairness {
             let overlap = o.jaccard();
             overlaps.push(overlap);
             if overlap < 1.0 - 1e-9 {
-                collector.push(
-                    1.0 - overlap,
-                    crate::axioms::a2_witness(ti, tj, skill_sim, o.left, o.right, overlap),
-                );
+                collector.push(1.0 - overlap, || {
+                    crate::axioms::a2_witness(ti, tj, skill_sim, o.left, o.right, overlap)
+                });
             }
         }
 
@@ -114,6 +113,32 @@ mod tests {
     }
 
     #[test]
+    fn truncated_witnesses_match_the_naive_oracle() {
+        use crate::audit::{AuditConfig, AuditEngine};
+        // Eight r0 tasks shown to both workers, eight comparable r1
+        // tasks shown to one: 64 violating pairs against a cap of 5.
+        let tasks = (0..16).map(|i| task(i, i / 8, &[1, 0], 10)).collect();
+        let mut trace = skeleton(tasks);
+        for tid in 0..8 {
+            show(&mut trace, 1, tid, 0);
+            show(&mut trace, 1, tid, 1);
+            show(&mut trace, 1, tid + 8, 0);
+        }
+        let engine = AuditEngine::new(AuditConfig {
+            max_witnesses: 5,
+            ..AuditConfig::default()
+        });
+        let ids = [AxiomId::A2RequesterAssignment];
+        let indexed = &engine.run_axioms(&trace, &ids).axioms[0];
+        let naive = &engine.run_naive(&trace, &ids).axioms[0];
+        assert_eq!(indexed.violation_count, 64);
+        assert_eq!(indexed.violation_count, naive.violation_count);
+        assert!(indexed.truncated && naive.truncated);
+        assert_eq!(indexed.violations.len(), 5);
+        assert_eq!(indexed.violations, naive.violations);
+    }
+
+    #[test]
     fn same_requester_pairs_skipped() {
         let mut trace = skeleton(vec![task(0, 0, &[1, 0], 10), task(1, 0, &[1, 0], 10)]);
         show(&mut trace, 1, 0, 0);
@@ -139,7 +164,7 @@ mod tests {
 
     #[test]
     fn audience_restricted_to_qualified_workers() {
-        // w1 lacks the needed skill; her absence from audiences is fine
+        // w1 lacks the needed skill; their absence from audiences is fine
         let mut trace = skeleton(vec![task(0, 0, &[1, 0], 10), task(1, 1, &[1, 0], 10)]);
         trace.workers[1] = worker(1, &[0, 1]);
         show(&mut trace, 1, 0, 0);

@@ -61,14 +61,13 @@ impl Axiom for CompensationFairness {
                 } else {
                     let max = pi.max(pj).millicents().max(1) as f64;
                     let severity = pi.abs_diff(pj).millicents() as f64 / max;
-                    collector.push(
-                        severity,
+                    collector.push(severity, || {
                         format!(
                             "task {task}: workers {} and {} made similar contributions \
                              (sim {:.2}) but were paid {} vs {}",
                             si.worker, sj.worker, sim, pi, pj
-                        ),
-                    );
+                        )
+                    });
                 }
             }
         }

@@ -56,14 +56,13 @@ impl Axiom for MaliceDetection {
 
         let mut collector = ViolationCollector::new(self.id(), max_witnesses);
         if flagged.is_empty() {
-            collector.push(
-                1.0,
+            collector.push(1.0, || {
                 format!(
                     "platform emitted no detection events while {} malicious worker(s) \
                      were active",
                     active_malicious.len()
-                ),
-            );
+                )
+            });
             return AxiomReport {
                 axiom: self.id(),
                 score: 0.0,
@@ -95,10 +94,10 @@ impl Axiom for MaliceDetection {
         };
 
         for w in active_malicious.difference(flagged) {
-            collector.push(0.8, format!("malicious worker {w} was never flagged"));
+            collector.push(0.8, || format!("malicious worker {w} was never flagged"));
         }
         for w in flagged.difference(malicious) {
-            collector.push(0.4, format!("honest worker {w} was wrongly flagged"));
+            collector.push(0.4, || format!("honest worker {w} was wrongly flagged"));
         }
 
         AxiomReport {

@@ -3,7 +3,7 @@
 //! *"A worker who started completing a task should not be interrupted."*
 //!
 //! This is the §3.1.1 survey-cancellation scenario: a requester reaches
-//! her target and cancels, leaving mid-task workers unpaid for their
+//! their target and cancels, leaving mid-task workers unpaid for their
 //! effort. Every `WorkInterrupted` audit event is a violation witness;
 //! compensated interruptions count at half severity (the worker still
 //! lost the task but not the time). The score is the fraction of started
@@ -46,8 +46,7 @@ impl Axiom for NoInterruption {
                 1.0
             };
             weighted += severity;
-            collector.push(
-                severity,
+            collector.push(severity, || {
                 format!(
                     "worker {} was interrupted on task {} after investing {}{}",
                     intr.worker,
@@ -58,8 +57,8 @@ impl Axiom for NoInterruption {
                     } else {
                         " (unpaid)"
                     }
-                ),
-            );
+                )
+            });
         }
 
         AxiomReport {

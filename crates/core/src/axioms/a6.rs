@@ -91,15 +91,14 @@ impl Axiom for RequesterTransparency {
             let (coverage, missing) = obligation_coverage(task, &trace.disclosure);
             coverages.push(coverage);
             if !missing.is_empty() {
-                collector.push(
-                    1.0 - coverage,
+                collector.push(1.0 - coverage, || {
                     format!(
                         "task {} (requester {}) does not disclose: {}",
                         task.id,
                         task.requester,
                         missing.join(", ")
-                    ),
-                );
+                    )
+                });
             }
         }
         AxiomReport {

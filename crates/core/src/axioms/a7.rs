@@ -37,10 +37,9 @@ impl Axiom for PlatformTransparency {
         let mut collector = ViolationCollector::new(self.id(), max_witnesses);
         for item in DisclosureItem::AXIOM7_REQUIRED {
             if !trace.disclosure.allows(item, Audience::Subject) {
-                collector.push(
-                    1.0 / DisclosureItem::AXIOM7_REQUIRED.len() as f64,
-                    format!("computed attribute {item} is not disclosed to the worker"),
-                );
+                collector.push(1.0 / DisclosureItem::AXIOM7_REQUIRED.len() as f64, || {
+                    format!("computed attribute {item} is not disclosed to the worker")
+                });
             }
         }
 
@@ -54,13 +53,12 @@ impl Axiom for PlatformTransparency {
         };
         if coverage > 0.0 && evidence < 1.0 {
             let uninformed = active.difference(informed).count();
-            collector.push(
-                (1.0 - evidence).min(1.0),
+            collector.push((1.0 - evidence).min(1.0), || {
                 format!(
                     "{uninformed} active worker(s) never saw any disclosure despite a \
                      non-empty policy"
-                ),
-            );
+                )
+            });
         }
 
         let mut notes = vec![format!(

@@ -144,7 +144,7 @@ fn a1(trace: &Trace, cfg: &SimilarityConfig, max_witnesses: usize) -> AxiomRepor
             let overlap = set_jaccard(&ai, &aj);
             overlaps.push(overlap);
             if overlap < 1.0 - 1e-9 {
-                collector.push(
+                collector.push_rendered(
                     1.0 - overlap,
                     format!(
                         "workers {} and {} are similar (sim {:.2}) but saw different \
@@ -228,7 +228,7 @@ fn a2(trace: &Trace, cfg: &SimilarityConfig, max_witnesses: usize) -> AxiomRepor
             let overlap = set_jaccard(&ai, &aj);
             overlaps.push(overlap);
             if overlap < 1.0 - 1e-9 {
-                collector.push(
+                collector.push_rendered(
                     1.0 - overlap,
                     format!(
                         "tasks {} ({}) and {} ({}) are comparable (skill sim {:.2}, \
@@ -297,7 +297,7 @@ fn a3(trace: &Trace, cfg: &SimilarityConfig, max_witnesses: usize) -> AxiomRepor
                 } else {
                     let max = pi.max(pj).millicents().max(1) as f64;
                     let severity = pi.abs_diff(pj).millicents() as f64 / max;
-                    collector.push(
+                    collector.push_rendered(
                         severity,
                         format!(
                             "task {task}: workers {} and {} made similar contributions \
@@ -355,7 +355,7 @@ fn a4(trace: &Trace, max_witnesses: usize) -> AxiomReport {
 
     let mut collector = ViolationCollector::new(id, max_witnesses);
     if flagged.is_empty() {
-        collector.push(
+        collector.push_rendered(
             1.0,
             format!(
                 "platform emitted no detection events while {} malicious worker(s) \
@@ -394,10 +394,10 @@ fn a4(trace: &Trace, max_witnesses: usize) -> AxiomReport {
     };
 
     for w in active_malicious.difference(&flagged) {
-        collector.push(0.8, format!("malicious worker {w} was never flagged"));
+        collector.push_rendered(0.8, format!("malicious worker {w} was never flagged"));
     }
     for w in flagged.difference(malicious) {
-        collector.push(0.4, format!("honest worker {w} was wrongly flagged"));
+        collector.push_rendered(0.4, format!("honest worker {w} was wrongly flagged"));
     }
 
     AxiomReport {
@@ -445,7 +445,7 @@ fn a5(trace: &Trace, max_witnesses: usize) -> AxiomReport {
                 1.0
             };
             weighted += severity;
-            collector.push(
+            collector.push_rendered(
                 severity,
                 format!(
                     "worker {worker} was interrupted on task {task} after investing \
@@ -494,7 +494,7 @@ fn a6(trace: &Trace, max_witnesses: usize) -> AxiomReport {
         let coverage = met as f64 / 5.0;
         coverages.push(coverage);
         if !missing.is_empty() {
-            collector.push(
+            collector.push_rendered(
                 1.0 - coverage,
                 format!(
                     "task {} (requester {}) does not disclose: {}",
@@ -524,7 +524,7 @@ fn a7(trace: &Trace, max_witnesses: usize) -> AxiomReport {
     let mut collector = ViolationCollector::new(id, max_witnesses);
     for item in DisclosureItem::AXIOM7_REQUIRED {
         if !trace.disclosure.allows(item, Audience::Subject) {
-            collector.push(
+            collector.push_rendered(
                 1.0 / DisclosureItem::AXIOM7_REQUIRED.len() as f64,
                 format!("computed attribute {item} is not disclosed to the worker"),
             );
@@ -555,7 +555,7 @@ fn a7(trace: &Trace, max_witnesses: usize) -> AxiomReport {
     };
     if coverage > 0.0 && evidence < 1.0 {
         let uninformed = active.difference(&informed).count();
-        collector.push(
+        collector.push_rendered(
             (1.0 - evidence).min(1.0),
             format!(
                 "{uninformed} active worker(s) never saw any disclosure despite a \

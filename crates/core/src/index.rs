@@ -55,8 +55,8 @@ pub const EXACT_SCAN_MAX: usize = 32;
 /// The worker ⇄ task qualification matrices, shared by Axioms 1 and 2.
 #[derive(Debug, Clone)]
 struct Qualification {
-    /// Per worker (by position in `trace.workers`), the tasks she
-    /// qualifies for.
+    /// Per worker (by position in `trace.workers`), the tasks they
+    /// qualify for.
     tasks_per_worker: Vec<BTreeSet<TaskId>>,
     /// Per task (by position in `trace.tasks`), the qualified workers.
     workers_per_task: Vec<BTreeSet<WorkerId>>,
@@ -293,7 +293,7 @@ impl<'a> TraceIndex<'a> {
         self.trace
     }
 
-    /// Per worker, the tasks made visible to her (every worker appears).
+    /// Per worker, the tasks made visible to them (every worker appears).
     pub fn visibility(&self) -> &DenseIdMap<WorkerId, BTreeSet<TaskId>> {
         &self.events.visibility
     }
@@ -379,8 +379,8 @@ impl<'a> TraceIndex<'a> {
         })
     }
 
-    /// Per worker (by position in `trace.workers`), the tasks she
-    /// qualifies for.
+    /// Per worker (by position in `trace.workers`), the tasks they
+    /// qualify for.
     pub fn qualified_tasks(&self) -> &[BTreeSet<TaskId>] {
         &self.qualification().tasks_per_worker
     }

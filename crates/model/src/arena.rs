@@ -22,6 +22,13 @@
 //! then the spill, whose keys are invariantly larger), so encoders and
 //! reports that used to iterate a `BTreeMap` stay byte-identical.
 //!
+//! [`DenseIdSet`] is the set counterpart for the same dense ids: one bit
+//! per id in a `Vec<u64>`, so membership, insertion, union and
+//! difference are word operations. It has no spill — its memory is one
+//! bit per id up to the largest one inserted — so it is meant for ids a
+//! market hands out itself (the simulator's task and worker ids), not
+//! for ids read from an untrusted file.
+//!
 //! ```
 //! use faircrowd_model::arena::DenseIdMap;
 //! use faircrowd_model::ids::WorkerId;
@@ -275,6 +282,136 @@ impl<K: ArenaKey, V> FromIterator<(K, V)> for DenseIdMap<K, V> {
     }
 }
 
+/// A set of dense ids as a bitset: bit `k % 64` of word `k / 64` is set
+/// when the id with raw index `k` is present. Iteration is ascending;
+/// equality is by content, so trailing zero words never matter. See the
+/// module docs for when a bitset fits.
+#[derive(Clone)]
+pub struct DenseIdSet<K> {
+    words: Vec<u64>,
+    _key: PhantomData<K>,
+}
+
+/// The raw indices of the set bits of `word`, ascending, offset by the
+/// word's position `base` (in words).
+fn word_bits(base: usize, mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros();
+            word &= word - 1;
+            (base * 64) as u32 + bit
+        })
+    })
+}
+
+impl<K: ArenaKey> DenseIdSet<K> {
+    /// An empty set.
+    pub fn new() -> Self {
+        DenseIdSet {
+            words: Vec::new(),
+            _key: PhantomData,
+        }
+    }
+
+    /// Number of ids present.
+    pub fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Is the set empty?
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Is `key` present? Ids past the last word are absent.
+    #[inline]
+    pub fn contains(&self, key: K) -> bool {
+        let raw = key.raw_index() as usize;
+        self.words
+            .get(raw / 64)
+            .is_some_and(|w| w & (1 << (raw % 64)) != 0)
+    }
+
+    /// Add `key`; `true` when it was not present yet.
+    #[inline]
+    pub fn insert(&mut self, key: K) -> bool {
+        let raw = key.raw_index() as usize;
+        let (word, bit) = (raw / 64, 1u64 << (raw % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        fresh
+    }
+
+    /// Add every id of `other` (one OR per word).
+    pub fn union_with(&mut self, other: &Self) {
+        if other.words.len() > self.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (mine, theirs) in self.words.iter_mut().zip(&other.words) {
+            *mine |= theirs;
+        }
+    }
+
+    /// The ids of `self` that are not in `other`, ascending — walked
+    /// word by word as `self & !other`.
+    pub fn difference<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = K> + 'a {
+        self.words.iter().enumerate().flat_map(move |(i, &w)| {
+            word_bits(i, w & !other.words.get(i).copied().unwrap_or(0)).map(K::from_raw_index)
+        })
+    }
+
+    /// Iterate the ids in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = K> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &w)| word_bits(i, w).map(K::from_raw_index))
+    }
+}
+
+impl<K: ArenaKey> Default for DenseIdSet<K> {
+    fn default() -> Self {
+        DenseIdSet::new()
+    }
+}
+
+impl<K> PartialEq for DenseIdSet<K> {
+    /// Content equality: words past the shorter vector must be zero.
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        long[..short.len()] == short[..] && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl<K: ArenaKey> std::fmt::Debug for DenseIdSet<K> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl<K: ArenaKey> Extend<K> for DenseIdSet<K> {
+    fn extend<I: IntoIterator<Item = K>>(&mut self, iter: I) {
+        for k in iter {
+            self.insert(k);
+        }
+    }
+}
+
+impl<K: ArenaKey> FromIterator<K> for DenseIdSet<K> {
+    fn from_iter<I: IntoIterator<Item = K>>(iter: I) -> Self {
+        let mut set = DenseIdSet::new();
+        set.extend(iter);
+        set
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,5 +517,99 @@ mod tests {
         assert_eq!(tree.len(), 2);
         assert_eq!(tree[&w(1)], 1);
         assert_eq!(tree[&w(4)], 4);
+    }
+
+    fn t(raw: u32) -> TaskId {
+        TaskId::new(raw)
+    }
+
+    #[test]
+    fn id_set_iterates_ascending_and_counts_distinct_ids() {
+        let mut s: DenseIdSet<TaskId> = DenseIdSet::new();
+        assert!(s.is_empty());
+        for raw in [130, 3, 64, 3, 0, 130, 63] {
+            s.insert(t(raw));
+        }
+        assert!(!s.insert(t(64)), "a duplicate insert reports false");
+        assert_eq!(s.len(), 5, "duplicates count once");
+        let raws: Vec<u32> = s.iter().map(|k| k.raw()).collect();
+        assert_eq!(raws, vec![0, 3, 63, 64, 130]);
+        assert!(s.contains(t(63)) && !s.contains(t(62)));
+    }
+
+    #[test]
+    fn id_set_contains_past_capacity_is_false() {
+        let s: DenseIdSet<TaskId> = [t(1)].into_iter().collect();
+        assert!(!s.contains(t(64)));
+        assert!(!s.contains(t(u32::MAX)));
+        assert!(!DenseIdSet::<TaskId>::new().contains(t(0)));
+    }
+
+    #[test]
+    fn id_set_union_and_difference() {
+        let mut a: DenseIdSet<TaskId> = [t(1), t(70)].into_iter().collect();
+        let b: DenseIdSet<TaskId> = [t(2), t(70), t(200)].into_iter().collect();
+        let raws = |s: &DenseIdSet<TaskId>| s.iter().map(|k| k.raw()).collect::<Vec<_>>();
+        assert_eq!(
+            b.difference(&a).map(|k| k.raw()).collect::<Vec<_>>(),
+            vec![2, 200]
+        );
+        assert_eq!(
+            a.difference(&b).map(|k| k.raw()).collect::<Vec<_>>(),
+            vec![1]
+        );
+        a.union_with(&b);
+        assert_eq!(raws(&a), vec![1, 2, 70, 200]);
+        assert_eq!(b.difference(&a).count(), 0);
+        assert_eq!(a.len(), 4);
+    }
+
+    #[test]
+    fn id_set_equality_ignores_trailing_zero_words() {
+        let short: DenseIdSet<TaskId> = [t(5)].into_iter().collect();
+        let mut wide = short.clone();
+        wide.words.resize(8, 0);
+        assert_eq!(wide, short);
+        assert_eq!(short, wide);
+        let mut empty_wide = DenseIdSet::<TaskId>::new();
+        empty_wide.words.resize(3, 0);
+        assert_eq!(empty_wide, DenseIdSet::new());
+        wide.insert(t(500));
+        assert_ne!(wide, short);
+        assert_ne!(short, wide);
+    }
+
+    #[test]
+    fn id_set_matches_a_btree_set_over_random_inserts_and_unions() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        for _ in 0..64 {
+            let mut dense: [DenseIdSet<TaskId>; 3] = Default::default();
+            let mut tree: [BTreeSet<TaskId>; 3] = Default::default();
+            for _ in 0..rng.gen_range(1..200) {
+                let i = rng.gen_range(0..3usize);
+                if rng.gen_bool(0.8) {
+                    let k = t(rng.gen_range(0..400u32));
+                    assert_eq!(dense[i].insert(k), tree[i].insert(k));
+                } else {
+                    let j = rng.gen_range(0..3usize);
+                    let (d, tr) = (dense[j].clone(), tree[j].clone());
+                    let diff: Vec<TaskId> = tr.difference(&tree[i]).copied().collect();
+                    assert_eq!(d.difference(&dense[i]).collect::<Vec<_>>(), diff);
+                    dense[i].union_with(&d);
+                    tree[i].extend(tr);
+                }
+                assert_eq!(dense[i].len(), tree[i].len());
+                assert!(dense[i].iter().eq(tree[i].iter().copied()));
+            }
+            for i in 0..3 {
+                for j in 0..3 {
+                    assert_eq!(dense[i] == dense[j], tree[i] == tree[j]);
+                }
+                let probe = t(rng.gen_range(0..500u32));
+                assert_eq!(dense[i].contains(probe), tree[i].contains(&probe));
+            }
+        }
     }
 }

@@ -23,6 +23,7 @@ use crate::config::{ApprovalPolicy, CancellationPolicy, ScenarioConfig};
 use crate::gen::{self, Reference};
 use crate::strategy::{RequesterStrategy, StrategyState, TaskOffer, WorkerStrategy};
 use faircrowd_assign::{AssignInput, AssignmentPolicy, TaskView, WorkerView};
+use faircrowd_model::arena::DenseIdSet;
 use faircrowd_model::attributes::{AttrValue, DeclaredAttrs};
 use faircrowd_model::contribution::Submission;
 use faircrowd_model::disclosure::{Audience, DisclosureSet};
@@ -147,9 +148,9 @@ pub struct Simulation {
     durations: BTreeMap<WorkerId, Vec<(SimDuration, SimDuration)>>,
     in_flight: Vec<InFlight>,
     judgments: Vec<PendingJudgment>,
-    /// One bitset over task indices per worker: bit `t` of row `w` is
-    /// set once worker `w` has been shown task `t`.
-    seen_visibility: Vec<Vec<u64>>,
+    /// One task bitset per worker: task `t` is in row `w` once worker
+    /// `w` has been shown it.
+    seen_visibility: Vec<DenseIdSet<TaskId>>,
     true_labels: BTreeMap<TaskId, u8>,
 }
 
@@ -266,7 +267,7 @@ impl Simulation {
             durations: BTreeMap::new(),
             in_flight: Vec::new(),
             judgments: Vec::new(),
-            seen_visibility: vec![Vec::new(); n_workers],
+            seen_visibility: vec![DenseIdSet::new(); n_workers],
             true_labels: BTreeMap::new(),
         }
     }
@@ -502,19 +503,14 @@ impl Simulation {
         );
 
         // Exposure events (first time a worker sees a task).
-        for (&w, vis) in &outcome.visibility {
-            for &t in vis {
-                let seen = &mut self.seen_visibility[w.index()];
-                let (word, bit) = (t.index() / 64, 1u64 << (t.index() % 64));
-                if word >= seen.len() {
-                    seen.resize(word + 1, 0);
-                }
-                if seen[word] & bit == 0 {
-                    seen[word] |= bit;
-                    self.events
-                        .push(self.now, EventKind::TaskVisible { task: t, worker: w });
-                }
+        // Ascending worker, then ascending task: `vis & !seen` word by word.
+        for (w, vis) in outcome.visibility.iter() {
+            let seen = &mut self.seen_visibility[w.index()];
+            for t in vis.difference(seen) {
+                self.events
+                    .push(self.now, EventKind::TaskVisible { task: t, worker: w });
             }
+            seen.union_with(vis);
         }
         // Assignments become in-flight work — if the worker takes them.
         for (w, t) in outcome.assignments {

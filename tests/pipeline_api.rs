@@ -27,10 +27,7 @@ fn every_registry_name_assigns_feasibly_on_the_fixture_market() {
         // Policies must expose at least the tasks they assign.
         for (worker, task) in &outcome.assignments {
             assert!(
-                outcome
-                    .visibility
-                    .get(worker)
-                    .is_some_and(|v| v.contains(task)),
+                outcome.sees(*worker, *task),
                 "{name}: assignment implies visibility"
             );
         }

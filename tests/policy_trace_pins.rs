@@ -3,9 +3,10 @@
 //! `tests/converge.rs` pins every legacy scenario under its own
 //! policy. The policy frontier runs other policies: `round_robin` and
 //! `kos`, each bare and under the exposure-parity repair, on static
-//! and strategic scenarios. These pins hold FNV-1a 64 over the JSONL
-//! encoding of each such trace, so a faster assignment or visibility
-//! path must reproduce the old markets byte for byte.
+//! and strategic scenarios, and every other registry policy that
+//! builds its own visibility sets. These pins hold FNV-1a 64 over the
+//! JSONL encoding of each such trace, so a faster assignment or
+//! visibility path must reproduce the old markets byte for byte.
 
 use faircrowd::core::persist::{self, TraceFormat};
 use faircrowd::sim::{catalog, converge, ConvergeOptions, PolicyChoice, ScenarioConfig};
@@ -53,6 +54,17 @@ const STATIC_PINS: [(&str, &str, u64); 8] = [
     ("worker_churn", "parity+kos", 0xc29e_7f6c_97f1_eb5d),
 ];
 
+/// The other registry policies with their own visibility paths, on
+/// `baseline` at scale 4, rounds 24, seed 3.
+const REGISTRY_PINS: [(&str, u64); 6] = [
+    ("self_selection", 0x0a89_5adc_f171_6744),
+    ("online_greedy", 0x9d52_81a8_bda3_db5e),
+    ("worker_centric", 0x0caf_6e0c_c986_40cf),
+    ("floor", 0x0fc6_c0a9_75f7_c13a),
+    ("budget_diverse", 0x6589_3334_8db0_de8c),
+    ("fair_delivery", 0xfc6e_874d_dd13_4b01),
+];
+
 /// Converged `undercut_churn` cells: scale 1, rounds 12, seed 3.
 const CONVERGED_PINS: [(&str, u64); 4] = [
     ("round_robin", 0x2d77_1794_642b_44c0),
@@ -66,6 +78,14 @@ fn static_policy_cells_reproduce_their_pinned_traces() {
     for (scenario, spec, pinned) in STATIC_PINS {
         let trace = faircrowd::sim::run(config(scenario, 4.0, 24, spec));
         check(&format!("{scenario} {spec}"), &trace, pinned);
+    }
+}
+
+#[test]
+fn registry_policy_cells_reproduce_their_pinned_traces() {
+    for (spec, pinned) in REGISTRY_PINS {
+        let trace = faircrowd::sim::run(config("baseline", 4.0, 24, spec));
+        check(&format!("baseline {spec}"), &trace, pinned);
     }
 }
 
