@@ -272,7 +272,7 @@ pub fn encode(ckpt: &Checkpoint) -> String {
     text
 }
 
-fn to_json(ckpt: &Checkpoint) -> Json {
+fn to_json(ckpt: &Checkpoint) -> Json<'_> {
     let id_arr = |ids: &[u32]| Json::Arr(ids.iter().map(|&i| Json::uint(u64::from(i))).collect());
     let rows = |rows: &[(usize, Vec<u32>)]| {
         Json::Arr(
@@ -383,7 +383,7 @@ fn unraw<T>(rows: &[(usize, Vec<T>)], raw: impl Fn(&T) -> u32) -> Vec<(usize, Ve
         .collect()
 }
 
-fn mirror_to_json(mirror: &EventIndex) -> Json {
+fn mirror_to_json(mirror: &EventIndex) -> Json<'_> {
     let id_set = |ids: &BTreeSet<u32>| -> Json {
         Json::Arr(ids.iter().map(|&i| Json::uint(u64::from(i))).collect())
     };
@@ -500,7 +500,7 @@ fn mirror_to_json(mirror: &EventIndex) -> Json {
     ])
 }
 
-fn finding_to_json(f: &LiveFinding) -> Json {
+fn finding_to_json(f: &LiveFinding) -> Json<'_> {
     let origin = match f.origin {
         FindingOrigin::Setup => Json::Obj(vec![("kind".into(), Json::str("setup"))]),
         FindingOrigin::Event { seq, time } => Json::Obj(vec![

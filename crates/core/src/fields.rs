@@ -12,10 +12,10 @@ use faircrowd_model::error::FaircrowdError;
 use faircrowd_model::json::Json;
 
 pub(crate) fn require<'a>(
-    json: &'a Json,
+    json: &'a Json<'a>,
     key: &str,
     ctx: impl std::fmt::Display,
-) -> Result<&'a Json, FaircrowdError> {
+) -> Result<&'a Json<'a>, FaircrowdError> {
     json.get(key)
         .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: missing field `{key}`")))
 }
@@ -143,10 +143,10 @@ pub(crate) fn str_field<'a>(
 }
 
 pub(crate) fn arr_field<'a>(
-    json: &'a Json,
+    json: &'a Json<'a>,
     key: &str,
     ctx: impl std::fmt::Display,
-) -> Result<&'a [Json], FaircrowdError> {
+) -> Result<&'a [Json<'a>], FaircrowdError> {
     let v = require(json, key, &ctx)?;
     v.as_arr().ok_or_else(|| {
         FaircrowdError::persist(format!(

@@ -254,6 +254,29 @@ mod tests {
     }
 
     #[test]
+    fn leading_zero_horizon_is_rejected_with_its_position() {
+        // `00` is not JSON (RFC 8259); read as 0 it would decode to a
+        // trace that re-encodes to different bytes.
+        for format in [TraceFormat::Json, TraceFormat::Jsonl] {
+            let text = encode(&small_trace(), format);
+            let horizon = if format == TraceFormat::Json {
+                "\"horizon\": 100"
+            } else {
+                "\"horizon\":100"
+            };
+            let at = text.find(horizon).unwrap() + horizon.len() - 3;
+            let bad = text.replacen(horizon, &horizon.replace("100", "00"), 1);
+            let err = decode_bytes(bad.as_bytes()).unwrap_err();
+            assert!(matches!(err, FaircrowdError::Persist { .. }), "{err:?}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("leading zero in number at byte {at}")),
+                "{msg}"
+            );
+        }
+    }
+
+    #[test]
     fn non_utf8_non_binary_bytes_are_a_persist_error() {
         let err = decode_bytes(&[0xff, 0xfe, 0x00, 0x41]).unwrap_err();
         assert!(matches!(err, FaircrowdError::Persist { .. }), "{err:?}");

@@ -37,9 +37,9 @@ use faircrowd_pay::wage::WageStats;
 
 /// Encode a [`FairnessReport`] as a JSON object (losslessly; see the
 /// module docs).
-pub fn report_to_json(report: &FairnessReport) -> Json {
+pub fn report_to_json(report: &FairnessReport) -> Json<'_> {
     Json::Obj(vec![(
-        "axioms".to_owned(),
+        "axioms".into(),
         Json::Arr(report.axioms.iter().map(axiom_report_to_json).collect()),
     )])
 }
@@ -58,33 +58,33 @@ pub fn report_from_json(
     Ok(FairnessReport { axioms })
 }
 
-fn axiom_report_to_json(report: &AxiomReport) -> Json {
+fn axiom_report_to_json(report: &AxiomReport) -> Json<'_> {
     Json::Obj(vec![
-        ("axiom".to_owned(), Json::str(report.axiom.label())),
-        ("score".to_owned(), Json::float(report.score)),
-        ("checked".to_owned(), Json::uint(report.checked as u64)),
+        ("axiom".into(), Json::str(report.axiom.label())),
+        ("score".into(), Json::float(report.score)),
+        ("checked".into(), Json::uint(report.checked as u64)),
         (
-            "violations".to_owned(),
+            "violations".into(),
             Json::Arr(
                 report
                     .violations
                     .iter()
                     .map(|v| {
                         Json::Obj(vec![
-                            ("severity".to_owned(), Json::float(v.severity)),
-                            ("description".to_owned(), Json::str(&*v.description)),
+                            ("severity".into(), Json::float(v.severity)),
+                            ("description".into(), Json::str(&*v.description)),
                         ])
                     })
                     .collect(),
             ),
         ),
         (
-            "violation_count".to_owned(),
+            "violation_count".into(),
             Json::uint(report.violation_count as u64),
         ),
-        ("truncated".to_owned(), Json::Bool(report.truncated)),
+        ("truncated".into(), Json::Bool(report.truncated)),
         (
-            "notes".to_owned(),
+            "notes".into(),
             Json::Arr(report.notes.iter().map(Json::str).collect()),
         ),
     ])
@@ -133,16 +133,16 @@ fn axiom_report_from_json(
 }
 
 /// Encode [`WageStats`] as a JSON object (losslessly).
-pub fn wages_to_json(wages: &WageStats) -> Json {
+pub fn wages_to_json(wages: &WageStats) -> Json<'_> {
     Json::Obj(vec![
-        ("n".to_owned(), Json::uint(wages.n as u64)),
-        ("mean".to_owned(), Json::float(wages.mean)),
-        ("median".to_owned(), Json::float(wages.median)),
-        ("p10".to_owned(), Json::float(wages.p10)),
-        ("p90".to_owned(), Json::float(wages.p90)),
-        ("gini".to_owned(), Json::float(wages.gini)),
-        ("theil".to_owned(), Json::float(wages.theil)),
-        ("jain".to_owned(), Json::float(wages.jain)),
+        ("n".into(), Json::uint(wages.n as u64)),
+        ("mean".into(), Json::float(wages.mean)),
+        ("median".into(), Json::float(wages.median)),
+        ("p10".into(), Json::float(wages.p10)),
+        ("p90".into(), Json::float(wages.p90)),
+        ("gini".into(), Json::float(wages.gini)),
+        ("theil".into(), Json::float(wages.theil)),
+        ("jain".into(), Json::float(wages.jain)),
     ])
 }
 
@@ -203,7 +203,8 @@ mod tests {
         let back = report_from_json(&json, "test").unwrap();
         assert_eq!(back, report);
         // And through a textual encode/parse cycle, as in a part file.
-        let reparsed = Json::parse(&json.to_compact()).unwrap();
+        let text = json.to_compact();
+        let reparsed = Json::parse(&text).unwrap();
         assert_eq!(report_from_json(&reparsed, "test").unwrap(), report);
     }
 
@@ -219,7 +220,8 @@ mod tests {
             theil: f64::NAN,
             jain: f64::INFINITY,
         };
-        let json = Json::parse(&wages_to_json(&wages).to_compact()).unwrap();
+        let text = wages_to_json(&wages).to_compact();
+        let json = Json::parse(&text).unwrap();
         let back = wages_from_json(&json, "test").unwrap();
         assert_eq!(back.n, wages.n);
         assert_eq!(back.mean.to_bits(), wages.mean.to_bits());
@@ -230,7 +232,8 @@ mod tests {
 
     #[test]
     fn unknown_axiom_label_is_a_named_persist_error() {
-        let mut json = report_to_json(&busy_report());
+        let report = busy_report();
+        let mut json = report_to_json(&report);
         if let Json::Obj(members) = &mut json {
             if let Json::Arr(axioms) = &mut members[0].1 {
                 if let Json::Obj(fields) = &mut axioms[0] {

@@ -1,25 +1,33 @@
-//! A minimal, dependency-free JSON value with a lossless number
-//! representation.
+//! A minimal, dependency-free JSON value that borrows from the text it
+//! was parsed from.
 //!
 //! The workspace builds hermetically (the vendored `serde` shim is a
 //! no-op derive; see `vendor/README.md`), so trace persistence carries
-//! its own JSON layer. Two properties matter more than generality:
+//! its own JSON layer. Three properties matter more than generality:
 //!
 //! 1. **Lossless integers.** Money is `i64` millicents and event
 //!    sequence numbers are `u64`; an `f64`-backed number type would
 //!    silently corrupt them past 2⁵³. [`Json::Num`] therefore stores the
 //!    *lexical token* and converts on access, so `i64`/`u64`/`f64` all
 //!    round-trip exactly.
-//! 2. **Deterministic output.** Object members keep insertion order and
+//! 2. **Zero-copy decoding.** [`Json::parse`] returns a `Json<'a>` tied
+//!    to its input: number tokens, object keys and strings without
+//!    escapes are [`Cow::Borrowed`] slices of the text. A value is
+//!    owned only when an encoder builds it (`Json::uint`, a formatted
+//!    float) or when a string's escapes had to be decoded. Encoders
+//!    borrow too: literal keys and entity strings cost no copy.
+//! 3. **Deterministic output.** Object members keep insertion order and
 //!    floats print via Rust's shortest-round-trip `Display`, so encoding
 //!    the same trace twice is byte-identical — the property the replay
 //!    acceptance tests pin.
 //!
-//! The parser is a recursive-descent reader over the full JSON grammar
-//! (strings with `\uXXXX` escapes and surrogate pairs included) with a
-//! depth limit instead of unbounded recursion, and reports positions in
-//! its error messages so a truncated trace file names where it broke.
+//! The parser is a recursive-descent reader over the RFC 8259 grammar
+//! (strings with `\uXXXX` escapes and surrogate pairs included; leading
+//! zeros and raw control characters rejected) with a depth limit
+//! instead of unbounded recursion, and reports positions in its error
+//! messages so a truncated trace file names where it broke.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -27,52 +35,53 @@ use std::fmt::Write as _;
 /// of levels; anything deeper is malformed input, not data.
 const MAX_DEPTH: usize = 128;
 
-/// A JSON value. Numbers keep their lexical form (see the module docs).
+/// A JSON value borrowing from the text it was parsed from (see the
+/// module docs). Numbers keep their lexical form.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
     /// A number, stored as its token so integers survive losslessly.
-    Num(String),
+    Num(Cow<'a, str>),
     /// A string.
-    Str(String),
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Json>),
+    Arr(Vec<Json<'a>>),
     /// An object; members keep insertion order for deterministic output.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     /// A number from an `i64` (lossless).
-    pub fn int(v: i64) -> Json {
-        Json::Num(v.to_string())
+    pub fn int(v: i64) -> Json<'a> {
+        Json::Num(v.to_string().into())
     }
 
     /// A number from a `u64` (lossless).
-    pub fn uint(v: u64) -> Json {
-        Json::Num(v.to_string())
+    pub fn uint(v: u64) -> Json<'a> {
+        Json::Num(v.to_string().into())
     }
 
     /// A number from an `f64`. Finite values use Rust's shortest
     /// round-trip form; non-finite values are encoded as the strings
     /// `"NaN"` / `"inf"` / `"-inf"` (JSON has no literal for them) and
     /// [`Json::as_f64`] reads those back.
-    pub fn float(v: f64) -> Json {
+    pub fn float(v: f64) -> Json<'a> {
         if v.is_finite() {
-            Json::Num(format!("{v}"))
+            Json::Num(format!("{v}").into())
         } else if v.is_nan() {
-            Json::Str("NaN".to_owned())
+            Json::str("NaN")
         } else if v > 0.0 {
-            Json::Str("inf".to_owned())
+            Json::str("inf")
         } else {
-            Json::Str("-inf".to_owned())
+            Json::str("-inf")
         }
     }
 
-    /// A string value.
-    pub fn str(v: impl Into<String>) -> Json {
+    /// A string value, borrowed or owned.
+    pub fn str(v: impl Into<Cow<'a, str>>) -> Json<'a> {
         Json::Str(v.into())
     }
 
@@ -97,7 +106,7 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(t) => t.parse().ok(),
-            Json::Str(s) => match s.as_str() {
+            Json::Str(s) => match &**s {
                 "NaN" => Some(f64::NAN),
                 "inf" => Some(f64::INFINITY),
                 "-inf" => Some(f64::NEG_INFINITY),
@@ -124,7 +133,7 @@ impl Json {
     }
 
     /// The value as an array slice, when it is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub fn as_arr(&self) -> Option<&[Json<'a>]> {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
@@ -132,7 +141,7 @@ impl Json {
     }
 
     /// The value as object members, when it is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+    pub fn as_obj(&self) -> Option<&[(Cow<'a, str>, Json<'a>)]> {
         match self {
             Json::Obj(m) => Some(m),
             _ => None,
@@ -140,7 +149,7 @@ impl Json {
     }
 
     /// Look up an object member by key.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         self.as_obj()?
             .iter()
             .find(|(k, _)| k == key)
@@ -221,8 +230,9 @@ impl Json {
     }
 
     /// Parse a complete JSON document (one value, possibly surrounded by
-    /// whitespace). Errors name the byte offset they occurred at.
-    pub fn parse(text: &str) -> Result<Json, String> {
+    /// whitespace). The value borrows from `text`. Errors name the byte
+    /// offset they occurred at.
+    pub fn parse(text: &'a str) -> Result<Json<'a>, String> {
         let mut p = Parser {
             text,
             bytes: text.as_bytes(),
@@ -241,7 +251,7 @@ impl Json {
     }
 }
 
-impl fmt::Display for Json {
+impl fmt::Display for Json<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_compact())
     }
@@ -280,7 +290,7 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -309,7 +319,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
+    fn value(&mut self, depth: usize) -> Result<Json<'a>, String> {
         if depth > MAX_DEPTH {
             return Err(format!(
                 "nesting deeper than {MAX_DEPTH} at byte {}",
@@ -332,7 +342,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+    fn literal(&mut self, word: &str, value: Json<'a>) -> Result<Json<'a>, String> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -341,27 +351,31 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// Advance over a run of ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    fn number(&mut self) -> Result<Json<'a>, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut digits = 0;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-            digits += 1;
-        }
+        let int_start = self.pos;
+        let digits = self.digits();
         if digits == 0 {
             return Err(format!("malformed number at byte {start}"));
         }
+        if digits > 1 && self.bytes[int_start] == b'0' {
+            return Err(format!("leading zero in number at byte {start}"));
+        }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            let mut frac = 0;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-                frac += 1;
-            }
-            if frac == 0 {
+            if self.digits() == 0 {
                 return Err(format!("malformed number at byte {start}"));
             }
         }
@@ -370,93 +384,94 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            let mut exp = 0;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-                exp += 1;
-            }
-            if exp == 0 {
+            if self.digits() == 0 {
                 return Err(format!("malformed number at byte {start}"));
             }
         }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number tokens are ASCII")
-            .to_owned();
-        Ok(Json::Num(token))
+        // The token is ASCII, so both ends sit on char boundaries.
+        Ok(Json::Num(Cow::Borrowed(&self.text[start..self.pos])))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string body. Runs of plain characters are sliced out of the
+    /// input whole (a quote, a backslash and every control byte are
+    /// ASCII, so a run always ends on a char boundary); a string without
+    /// escapes is returned borrowed, and only an escape makes it owned.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
+            let run_start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            let run = &self.text[run_start..self.pos];
             match self.peek() {
                 None => return Err(format!("unterminated string at byte {}", self.pos)),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(run);
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require \uXXXX low half.
-                                if self.peek() != Some(b'\\') {
-                                    return Err(lone_surrogate(self.pos));
-                                }
-                                self.pos += 1;
-                                if self.peek() != Some(b'u') {
-                                    return Err(lone_surrogate(self.pos));
-                                }
-                                self.pos += 1;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(lone_surrogate(self.pos));
-                                }
-                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code).ok_or_else(|| lone_surrogate(self.pos))?
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| lone_surrogate(self.pos))?
-                            };
-                            out.push(c);
-                            continue; // hex4 already advanced
-                        }
-                        _ => {
-                            return Err(format!("invalid escape at byte {}", self.pos));
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x80 => {
-                    // ASCII fast path (the overwhelmingly common case).
-                    out.push(b as char);
-                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
                 Some(_) => {
-                    // Multi-byte character: the input is a &str, so
-                    // `pos` sits on a char boundary and the O(1) slice
-                    // + chars() yields exactly one scalar. (Never
-                    // re-validate the tail here — that turns parsing
-                    // into O(n²) on megabyte traces.)
-                    let c = self.text[self.pos..]
-                        .chars()
-                        .next()
-                        .expect("non-empty rest on a char boundary");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    return Err(format!(
+                        "unescaped control character in string at byte {}",
+                        self.pos
+                    ))
                 }
             }
         }
+    }
+
+    /// The character an escape sequence stands for; `pos` sits just
+    /// after the backslash and ends just after the sequence.
+    fn escape(&mut self) -> Result<char, String> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                return if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: require \uXXXX low half.
+                    if self.peek() != Some(b'\\') {
+                        return Err(lone_surrogate(self.pos));
+                    }
+                    self.pos += 1;
+                    if self.peek() != Some(b'u') {
+                        return Err(lone_surrogate(self.pos));
+                    }
+                    self.pos += 1;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(lone_surrogate(self.pos));
+                    }
+                    let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                    char::from_u32(code).ok_or_else(|| lone_surrogate(self.pos))
+                } else {
+                    char::from_u32(hi).ok_or_else(|| lone_surrogate(self.pos))
+                };
+            }
+            _ => return Err(format!("invalid escape at byte {}", self.pos)),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
@@ -474,7 +489,7 @@ impl Parser<'_> {
         Ok(v)
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json<'a>, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -497,7 +512,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json<'a>, String> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -548,6 +563,66 @@ mod tests {
         roundtrip(&Json::str("hello \"quoted\" \\ \n tab\t ünïcode 🎉"));
         roundtrip(&Json::int(i64::MIN));
         roundtrip(&Json::uint(u64::MAX));
+    }
+
+    #[test]
+    fn escapes_roundtrip_at_every_position() {
+        // An escape at the start, middle and end of a string, and
+        // multi-byte characters on either side of one: each crosses the
+        // switch from the borrowed fast path to the escape loop.
+        for s in [
+            "\"start",
+            "mid\ndle",
+            "end\\",
+            "\t",
+            "é\"ü",
+            "\u{1}🎉\r",
+            "ünï\\",
+            "\"🎉",
+            "a\u{7f}b\u{1f}c",
+        ] {
+            roundtrip(&Json::str(s));
+            roundtrip(&Json::Obj(vec![(s.into(), Json::str(s))]));
+        }
+    }
+
+    #[test]
+    fn unescaped_tokens_borrow_from_the_input() {
+        let text = r#"{"key": "plain ünïcode", "n": -12.5e3, "list": ["x", 7]}"#;
+        let v = Json::parse(text).unwrap();
+        let borrowed = |c: &Cow<'_, str>| matches!(c, Cow::Borrowed(_));
+        for (key, _) in v.as_obj().unwrap() {
+            assert!(borrowed(key), "key `{key}` was copied");
+        }
+        let Some(Json::Str(s)) = v.get("key") else {
+            panic!("string member")
+        };
+        assert!(borrowed(s) && s == "plain ünïcode");
+        let Some(Json::Num(n)) = v.get("n") else {
+            panic!("number member")
+        };
+        assert!(borrowed(n) && n == "-12.5e3");
+        let items = v.get("list").unwrap().as_arr().unwrap();
+        assert!(matches!(&items[0], Json::Str(Cow::Borrowed("x"))));
+        assert!(matches!(&items[1], Json::Num(Cow::Borrowed("7"))));
+    }
+
+    #[test]
+    fn escaped_strings_are_owned_and_unescaped() {
+        for (text, want) in [
+            (r#""\"quoted\"""#, "\"quoted\""),
+            (r#""tail\n""#, "tail\n"),
+            (r#""é\u00e9ü""#, "ééü"),
+        ] {
+            let v = Json::parse(text).unwrap();
+            let Json::Str(s) = &v else {
+                panic!("`{text}` is a string")
+            };
+            assert!(matches!(s, Cow::Owned(_)), "`{text}` should be owned");
+            assert_eq!(s, want);
+        }
+        let v = Json::parse(r#"{"k\u0065y": 1}"#).unwrap();
+        assert!(matches!(&v.as_obj().unwrap()[0].0, Cow::Owned(k) if k == "key"));
     }
 
     #[test]
@@ -621,9 +696,31 @@ mod tests {
             "01x",
             "\"\\u12\"",
             "\"\\ud800\"",
+            // RFC 8259: no leading zeros, no raw control characters.
+            "01",
+            "-01",
+            "00",
+            "[1, 00]",
+            "{\"horizon\": 00}",
+            "\"tab\tinside\"",
+            "\"nul\u{0}\"",
+            "\"line\nbreak\"",
+            "\"\u{1f}\"",
         ] {
             let err = Json::parse(bad).unwrap_err();
             assert!(err.contains("byte"), "`{bad}` -> {err}");
+        }
+        assert_eq!(
+            Json::parse("[0, -00]").unwrap_err(),
+            "leading zero in number at byte 4"
+        );
+        assert_eq!(
+            Json::parse("\"ab\ncd\"").unwrap_err(),
+            "unescaped control character in string at byte 3"
+        );
+        // The single-zero forms stay valid.
+        for ok in ["0", "-0", "0.5", "-0.0e1", "10", "[0,0]"] {
+            assert!(Json::parse(ok).is_ok(), "`{ok}` must parse");
         }
     }
 

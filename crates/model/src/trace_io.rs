@@ -45,6 +45,7 @@ use crate::task::{Task, TaskConditions, TaskKind};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{GroundTruth, Trace};
 use crate::worker::Worker;
+use std::fmt::Display;
 
 /// The schema identifier every trace file carries.
 pub const SCHEMA_NAME: &str = "faircrowd-trace";
@@ -57,7 +58,7 @@ pub const SCHEMA_VERSION: u64 = 1;
 // ---------------------------------------------------------------------
 
 /// Encode a trace as one JSON object (the whole-file form).
-pub fn trace_to_json(trace: &Trace) -> Json {
+pub fn trace_to_json(trace: &Trace) -> Json<'_> {
     Json::Obj(vec![
         ("schema".into(), Json::str(SCHEMA_NAME)),
         ("version".into(), Json::uint(SCHEMA_VERSION)),
@@ -107,8 +108,8 @@ pub fn trace_to_jsonl(trace: &Trace) -> String {
     ]);
     let mut out = header.to_compact();
     out.push('\n');
-    let mut record = |tag: &str, value: Json| {
-        out.push_str(&Json::Obj(vec![(tag.to_owned(), value)]).to_compact());
+    let mut record = |tag: &'static str, value: Json| {
+        out.push_str(&Json::Obj(vec![(tag.into(), value)]).to_compact());
         out.push('\n');
     };
     for w in &trace.workers {
@@ -129,7 +130,7 @@ pub fn trace_to_jsonl(trace: &Trace) -> String {
     out
 }
 
-fn worker_to_json(w: &Worker) -> Json {
+fn worker_to_json(w: &Worker) -> Json<'_> {
     Json::Obj(vec![
         ("id".into(), Json::uint(u64::from(w.id.raw()))),
         ("declared".into(), declared_to_json(&w.declared)),
@@ -138,25 +139,25 @@ fn worker_to_json(w: &Worker) -> Json {
     ])
 }
 
-fn declared_to_json(attrs: &DeclaredAttrs) -> Json {
+fn declared_to_json(attrs: &DeclaredAttrs) -> Json<'_> {
     Json::Obj(
         attrs
             .iter()
-            .map(|(k, v)| (k.to_owned(), attr_value_to_json(v)))
+            .map(|(k, v)| (k.into(), attr_value_to_json(v)))
             .collect(),
     )
 }
 
-fn attr_value_to_json(v: &AttrValue) -> Json {
+fn attr_value_to_json(v: &AttrValue) -> Json<'_> {
     match v {
         AttrValue::Bool(b) => Json::Obj(vec![("bool".into(), Json::Bool(*b))]),
         AttrValue::Int(i) => Json::Obj(vec![("int".into(), Json::int(*i))]),
         AttrValue::Real(r) => Json::Obj(vec![("real".into(), Json::float(*r))]),
-        AttrValue::Text(s) => Json::Obj(vec![("text".into(), Json::str(s.clone()))]),
+        AttrValue::Text(s) => Json::Obj(vec![("text".into(), Json::str(s))]),
     }
 }
 
-fn computed_to_json(c: &ComputedAttrs) -> Json {
+fn computed_to_json(c: &ComputedAttrs) -> Json<'_> {
     Json::Obj(vec![
         ("acceptance_ratio".into(), Json::float(c.acceptance_ratio)),
         ("tasks_approved".into(), Json::uint(c.tasks_approved)),
@@ -177,14 +178,14 @@ fn computed_to_json(c: &ComputedAttrs) -> Json {
             Json::Obj(
                 c.extra
                     .iter()
-                    .map(|(k, v)| (k.clone(), Json::float(*v)))
+                    .map(|(k, v)| (k.into(), Json::float(*v)))
                     .collect(),
             ),
         ),
     ])
 }
 
-fn skills_to_json(s: &SkillVector) -> Json {
+fn skills_to_json(s: &SkillVector) -> Json<'static> {
     let bits: String = (0..s.len())
         .map(|i| {
             if s.get(SkillId::new(i as u32)) {
@@ -194,10 +195,10 @@ fn skills_to_json(s: &SkillVector) -> Json {
             }
         })
         .collect();
-    Json::Str(bits)
+    Json::str(bits)
 }
 
-fn task_to_json(t: &Task) -> Json {
+fn task_to_json(t: &Task) -> Json<'_> {
     Json::Obj(vec![
         ("id".into(), Json::uint(u64::from(t.id.raw()))),
         ("requester".into(), Json::uint(u64::from(t.requester.raw()))),
@@ -214,8 +215,8 @@ fn task_to_json(t: &Task) -> Json {
     ])
 }
 
-fn kind_to_json(kind: TaskKind) -> Json {
-    let mut members = vec![("name".to_owned(), Json::str(kind.name()))];
+fn kind_to_json(kind: TaskKind) -> Json<'static> {
+    let mut members = vec![("name".into(), Json::str(kind.name()))];
     match kind {
         TaskKind::Labeling { classes } => {
             members.push(("classes".into(), Json::uint(u64::from(classes))));
@@ -228,19 +229,13 @@ fn kind_to_json(kind: TaskKind) -> Json {
     Json::Obj(members)
 }
 
-fn conditions_to_json(c: &TaskConditions) -> Json {
+fn conditions_to_json(c: &TaskConditions) -> Json<'_> {
     let mut members = Vec::new();
     if let Some(wage) = c.stated_hourly_wage {
-        members.push((
-            "stated_hourly_wage".to_owned(),
-            Json::int(wage.millicents()),
-        ));
+        members.push(("stated_hourly_wage".into(), Json::int(wage.millicents())));
     }
     if let Some(delay) = c.stated_payment_delay {
-        members.push((
-            "stated_payment_delay".to_owned(),
-            Json::uint(delay.as_secs()),
-        ));
+        members.push(("stated_payment_delay".into(), Json::uint(delay.as_secs())));
     }
     for (key, value) in [
         ("recruitment_criteria", &c.recruitment_criteria),
@@ -248,16 +243,16 @@ fn conditions_to_json(c: &TaskConditions) -> Json {
         ("evaluation_scheme", &c.evaluation_scheme),
     ] {
         if let Some(text) = value {
-            members.push((key.to_owned(), Json::str(text.clone())));
+            members.push((key.into(), Json::str(text)));
         }
     }
     Json::Obj(members)
 }
 
-fn requester_to_json(r: &Requester) -> Json {
+fn requester_to_json(r: &Requester) -> Json<'_> {
     Json::Obj(vec![
         ("id".into(), Json::uint(u64::from(r.id.raw()))),
-        ("name".into(), Json::str(r.name.clone())),
+        ("name".into(), Json::str(&r.name)),
         ("approved".into(), Json::uint(r.approved)),
         ("rejected".into(), Json::uint(r.rejected)),
         (
@@ -273,7 +268,7 @@ fn requester_to_json(r: &Requester) -> Json {
     ])
 }
 
-fn submission_to_json(s: &Submission) -> Json {
+fn submission_to_json(s: &Submission) -> Json<'_> {
     Json::Obj(vec![
         ("id".into(), Json::uint(u64::from(s.id.raw()))),
         ("task".into(), Json::uint(u64::from(s.task.raw()))),
@@ -284,10 +279,10 @@ fn submission_to_json(s: &Submission) -> Json {
     ])
 }
 
-fn contribution_to_json(c: &Contribution) -> Json {
+fn contribution_to_json(c: &Contribution) -> Json<'_> {
     match c {
         Contribution::Label(l) => Json::Obj(vec![("label".into(), Json::uint(u64::from(*l)))]),
-        Contribution::Text(t) => Json::Obj(vec![("text".into(), Json::str(t.clone()))]),
+        Contribution::Text(t) => Json::Obj(vec![("text".into(), Json::str(t))]),
         Contribution::Ranking(r) => Json::Obj(vec![(
             "ranking".into(),
             Json::Arr(r.iter().map(|&i| Json::uint(u64::from(i))).collect()),
@@ -296,13 +291,13 @@ fn contribution_to_json(c: &Contribution) -> Json {
     }
 }
 
-fn event_to_json(e: &Event) -> Json {
+fn event_to_json(e: &Event) -> Json<'_> {
     let mut members = vec![
-        ("time".to_owned(), Json::uint(e.time.as_secs())),
-        ("seq".to_owned(), Json::uint(e.seq)),
-        ("kind".to_owned(), Json::str(e.kind.tag())),
+        ("time".into(), Json::uint(e.time.as_secs())),
+        ("seq".into(), Json::uint(e.seq)),
+        ("kind".into(), Json::str(e.kind.tag())),
     ];
-    let mut put = |key: &str, value: Json| members.push((key.to_owned(), value));
+    let mut put = |key: &'static str, value| members.push((key.into(), value));
     match &e.kind {
         EventKind::TaskPosted { task, requester } => {
             put("task", id32(task.raw()));
@@ -338,7 +333,7 @@ fn event_to_json(e: &Event) -> Json {
             put("task", id32(task.raw()));
             put("worker", id32(worker.raw()));
             if let Some(text) = feedback {
-                put("feedback", Json::str(text.clone()));
+                put("feedback", Json::str(text));
             }
         }
         EventKind::PaymentIssued {
@@ -393,7 +388,7 @@ fn event_to_json(e: &Event) -> Json {
         } => {
             put("worker", id32(worker.raw()));
             put("score", Json::float(*score));
-            put("detector", Json::str(detector.clone()));
+            put("detector", Json::str(detector));
         }
         EventKind::DisclosureShown { worker, item } => {
             put("worker", id32(worker.raw()));
@@ -418,7 +413,7 @@ fn event_to_json(e: &Event) -> Json {
     Json::Obj(members)
 }
 
-fn id32(raw: u32) -> Json {
+fn id32(raw: u32) -> Json<'static> {
     Json::uint(u64::from(raw))
 }
 
@@ -437,7 +432,7 @@ fn quit_reason_name(r: QuitReason) -> &'static str {
     }
 }
 
-fn disclosure_to_json(set: &DisclosureSet) -> Json {
+fn disclosure_to_json(set: &DisclosureSet) -> Json<'static> {
     Json::Arr(
         set.iter()
             .map(|(item, audience)| {
@@ -447,7 +442,7 @@ fn disclosure_to_json(set: &DisclosureSet) -> Json {
     )
 }
 
-fn ground_truth_to_json(gt: &GroundTruth) -> Json {
+fn ground_truth_to_json(gt: &GroundTruth) -> Json<'static> {
     Json::Obj(vec![
         (
             "malicious_workers".into(),
@@ -484,26 +479,28 @@ pub fn trace_from_json(json: &Json) -> Result<Trace, FaircrowdError> {
     for (i, w) in arr_field(json, "workers", "trace")?.iter().enumerate() {
         trace
             .workers
-            .push(worker_from_json(w, &format!("worker record {i}"))?);
+            .push(worker_from_json(w, &format_args!("worker record {i}"))?);
     }
     for (i, t) in arr_field(json, "tasks", "trace")?.iter().enumerate() {
         trace
             .tasks
-            .push(task_from_json(t, &format!("task record {i}"))?);
+            .push(task_from_json(t, &format_args!("task record {i}"))?);
     }
     for (i, r) in arr_field(json, "requesters", "trace")?.iter().enumerate() {
-        trace
-            .requesters
-            .push(requester_from_json(r, &format!("requester record {i}"))?);
+        trace.requesters.push(requester_from_json(
+            r,
+            &format_args!("requester record {i}"),
+        )?);
     }
     for (i, s) in arr_field(json, "submissions", "trace")?.iter().enumerate() {
-        trace
-            .submissions
-            .push(submission_from_json(s, &format!("submission record {i}"))?);
+        trace.submissions.push(submission_from_json(
+            s,
+            &format_args!("submission record {i}"),
+        )?);
     }
     let mut events = Vec::new();
     for (i, e) in arr_field(json, "events", "trace")?.iter().enumerate() {
-        events.push(event_from_json(e, &format!("event record {i}"))?);
+        events.push(event_from_json(e, &format_args!("event record {i}"))?);
     }
     trace.events = EventLog::from_events(events);
     Ok(trace)
@@ -644,26 +641,26 @@ impl JsonlReader {
                 members.len()
             )));
         };
-        Ok(Some(match tag.as_str() {
+        Ok(Some(match &**tag {
             "worker" => JsonlRecord::Worker(worker_from_json(
                 value,
-                &format!("line {lineno} (worker record)"),
+                &format_args!("line {lineno} (worker record)"),
             )?),
             "task" => JsonlRecord::Task(task_from_json(
                 value,
-                &format!("line {lineno} (task record)"),
+                &format_args!("line {lineno} (task record)"),
             )?),
             "requester" => JsonlRecord::Requester(requester_from_json(
                 value,
-                &format!("line {lineno} (requester record)"),
+                &format_args!("line {lineno} (requester record)"),
             )?),
             "submission" => JsonlRecord::Submission(submission_from_json(
                 value,
-                &format!("line {lineno} (submission record)"),
+                &format_args!("line {lineno} (submission record)"),
             )?),
             "event" => JsonlRecord::Event(event_from_json(
                 value,
-                &format!("line {lineno} (event record)"),
+                &format_args!("line {lineno} (event record)"),
             )?),
             other => {
                 return Err(FaircrowdError::persist(format!(
@@ -727,15 +724,15 @@ fn check_schema(json: &Json) -> Result<(), FaircrowdError> {
 // ---- field helpers --------------------------------------------------
 
 fn require<'a>(
-    json: &'a Json,
+    json: &'a Json<'a>,
     key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<&'a Json, FaircrowdError> {
+    ctx: impl Display,
+) -> Result<&'a Json<'a>, FaircrowdError> {
     json.get(key)
         .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: missing field `{key}`")))
 }
 
-fn u64_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<u64, FaircrowdError> {
+fn u64_field(json: &Json, key: &str, ctx: impl Display) -> Result<u64, FaircrowdError> {
     let v = require(json, key, &ctx)?;
     v.as_u64().ok_or_else(|| {
         FaircrowdError::persist(format!(
@@ -745,7 +742,7 @@ fn u64_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<u64,
     })
 }
 
-fn i64_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<i64, FaircrowdError> {
+fn i64_field(json: &Json, key: &str, ctx: impl Display) -> Result<i64, FaircrowdError> {
     let v = require(json, key, &ctx)?;
     v.as_i64().ok_or_else(|| {
         FaircrowdError::persist(format!(
@@ -755,21 +752,21 @@ fn i64_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<i64,
     })
 }
 
-fn u32_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<u32, FaircrowdError> {
+fn u32_field(json: &Json, key: &str, ctx: impl Display) -> Result<u32, FaircrowdError> {
     let raw = u64_field(json, key, &ctx)?;
     u32::try_from(raw).map_err(|_| {
         FaircrowdError::persist(format!("{ctx}: field `{key}` = {raw} does not fit an id"))
     })
 }
 
-fn u8_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<u8, FaircrowdError> {
+fn u8_field(json: &Json, key: &str, ctx: impl Display) -> Result<u8, FaircrowdError> {
     let raw = u64_field(json, key, &ctx)?;
     u8::try_from(raw).map_err(|_| {
         FaircrowdError::persist(format!("{ctx}: field `{key}` = {raw} does not fit a byte"))
     })
 }
 
-fn f64_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<f64, FaircrowdError> {
+fn f64_field(json: &Json, key: &str, ctx: impl Display) -> Result<f64, FaircrowdError> {
     let v = require(json, key, &ctx)?;
     v.as_f64().ok_or_else(|| {
         FaircrowdError::persist(format!(
@@ -779,11 +776,7 @@ fn f64_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<f64,
     })
 }
 
-fn str_field<'a>(
-    json: &'a Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<&'a str, FaircrowdError> {
+fn str_field<'a>(json: &'a Json, key: &str, ctx: impl Display) -> Result<&'a str, FaircrowdError> {
     let v = require(json, key, &ctx)?;
     v.as_str().ok_or_else(|| {
         FaircrowdError::persist(format!(
@@ -793,7 +786,7 @@ fn str_field<'a>(
     })
 }
 
-fn bool_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<bool, FaircrowdError> {
+fn bool_field(json: &Json, key: &str, ctx: impl Display) -> Result<bool, FaircrowdError> {
     let v = require(json, key, &ctx)?;
     v.as_bool().ok_or_else(|| {
         FaircrowdError::persist(format!(
@@ -804,10 +797,10 @@ fn bool_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<boo
 }
 
 fn arr_field<'a>(
-    json: &'a Json,
+    json: &'a Json<'a>,
     key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<&'a [Json], FaircrowdError> {
+    ctx: impl Display,
+) -> Result<&'a [Json<'a>], FaircrowdError> {
     let v = require(json, key, &ctx)?;
     v.as_arr().ok_or_else(|| {
         FaircrowdError::persist(format!(
@@ -817,25 +810,21 @@ fn arr_field<'a>(
     })
 }
 
-fn credits_field(
-    json: &Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<Credits, FaircrowdError> {
+fn credits_field(json: &Json, key: &str, ctx: impl Display) -> Result<Credits, FaircrowdError> {
     Ok(Credits::from_millicents(i64_field(json, key, ctx)?))
 }
 
 fn duration_field(
     json: &Json,
     key: &str,
-    ctx: impl std::fmt::Display,
+    ctx: impl Display,
 ) -> Result<SimDuration, FaircrowdError> {
     Ok(SimDuration::from_secs(u64_field(json, key, ctx)?))
 }
 
 // ---- record decoders ------------------------------------------------
 
-fn worker_from_json(json: &Json, ctx: &str) -> Result<Worker, FaircrowdError> {
+fn worker_from_json(json: &Json, ctx: &dyn Display) -> Result<Worker, FaircrowdError> {
     Ok(Worker {
         id: WorkerId::new(u32_field(json, "id", ctx)?),
         declared: declared_from_json(require(json, "declared", ctx)?, ctx)?,
@@ -844,7 +833,7 @@ fn worker_from_json(json: &Json, ctx: &str) -> Result<Worker, FaircrowdError> {
     })
 }
 
-fn declared_from_json(json: &Json, ctx: &str) -> Result<DeclaredAttrs, FaircrowdError> {
+fn declared_from_json(json: &Json, ctx: &dyn Display) -> Result<DeclaredAttrs, FaircrowdError> {
     let members = json.as_obj().ok_or_else(|| {
         FaircrowdError::persist(format!("{ctx}: declared attributes should be an object"))
     })?;
@@ -855,10 +844,14 @@ fn declared_from_json(json: &Json, ctx: &str) -> Result<DeclaredAttrs, Faircrowd
     Ok(attrs)
 }
 
-fn attr_value_from_json(json: &Json, ctx: &str, key: &str) -> Result<AttrValue, FaircrowdError> {
+fn attr_value_from_json(
+    json: &Json,
+    ctx: &dyn Display,
+    key: &str,
+) -> Result<AttrValue, FaircrowdError> {
     let members = json.as_obj().unwrap_or(&[]);
     match members {
-        [(tag, v)] => match (tag.as_str(), v) {
+        [(tag, v)] => match (&**tag, v) {
             ("bool", v) => v.as_bool().map(AttrValue::Bool),
             ("int", v) => v.as_i64().map(AttrValue::Int),
             ("real", v) => v.as_f64().map(AttrValue::Real),
@@ -874,14 +867,14 @@ fn attr_value_from_json(json: &Json, ctx: &str, key: &str) -> Result<AttrValue, 
     }
 }
 
-fn computed_from_json(json: &Json, ctx: &str) -> Result<ComputedAttrs, FaircrowdError> {
+fn computed_from_json(json: &Json, ctx: &dyn Display) -> Result<ComputedAttrs, FaircrowdError> {
     let mut extra = std::collections::BTreeMap::new();
     if let Some(members) = require(json, "extra", ctx)?.as_obj() {
         for (key, value) in members {
             let v = value.as_f64().ok_or_else(|| {
                 FaircrowdError::persist(format!("{ctx}: extra attribute `{key}` is not a number"))
             })?;
-            extra.insert(key.clone(), v);
+            extra.insert(key.clone().into_owned(), v);
         }
     } else {
         return Err(FaircrowdError::persist(format!(
@@ -901,7 +894,7 @@ fn computed_from_json(json: &Json, ctx: &str) -> Result<ComputedAttrs, Faircrowd
     })
 }
 
-fn skills_from_json(json: &Json, ctx: &str) -> Result<SkillVector, FaircrowdError> {
+fn skills_from_json(json: &Json, ctx: &dyn Display) -> Result<SkillVector, FaircrowdError> {
     let bits = json.as_str().ok_or_else(|| {
         FaircrowdError::persist(format!("{ctx}: skill vector should be a 0/1 string"))
     })?;
@@ -920,7 +913,7 @@ fn skills_from_json(json: &Json, ctx: &str) -> Result<SkillVector, FaircrowdErro
     Ok(SkillVector::from_bools(bools))
 }
 
-fn task_from_json(json: &Json, ctx: &str) -> Result<Task, FaircrowdError> {
+fn task_from_json(json: &Json, ctx: &dyn Display) -> Result<Task, FaircrowdError> {
     Ok(Task {
         id: TaskId::new(u32_field(json, "id", ctx)?),
         requester: RequesterId::new(u32_field(json, "requester", ctx)?),
@@ -934,7 +927,7 @@ fn task_from_json(json: &Json, ctx: &str) -> Result<Task, FaircrowdError> {
     })
 }
 
-fn kind_from_json(json: &Json, ctx: &str) -> Result<TaskKind, FaircrowdError> {
+fn kind_from_json(json: &Json, ctx: &dyn Display) -> Result<TaskKind, FaircrowdError> {
     match str_field(json, "name", ctx)? {
         "labeling" => Ok(TaskKind::Labeling {
             classes: u8_field(json, "classes", ctx)?,
@@ -950,7 +943,7 @@ fn kind_from_json(json: &Json, ctx: &str) -> Result<TaskKind, FaircrowdError> {
     }
 }
 
-fn conditions_from_json(json: &Json, ctx: &str) -> Result<TaskConditions, FaircrowdError> {
+fn conditions_from_json(json: &Json, ctx: &dyn Display) -> Result<TaskConditions, FaircrowdError> {
     if json.as_obj().is_none() {
         return Err(FaircrowdError::persist(format!(
             "{ctx}: conditions should be an object"
@@ -977,7 +970,7 @@ fn conditions_from_json(json: &Json, ctx: &str) -> Result<TaskConditions, Faircr
     })
 }
 
-fn requester_from_json(json: &Json, ctx: &str) -> Result<Requester, FaircrowdError> {
+fn requester_from_json(json: &Json, ctx: &dyn Display) -> Result<Requester, FaircrowdError> {
     Ok(Requester {
         id: RequesterId::new(u32_field(json, "id", ctx)?),
         name: str_field(json, "name", ctx)?.to_owned(),
@@ -990,7 +983,7 @@ fn requester_from_json(json: &Json, ctx: &str) -> Result<Requester, FaircrowdErr
     })
 }
 
-fn submission_from_json(json: &Json, ctx: &str) -> Result<Submission, FaircrowdError> {
+fn submission_from_json(json: &Json, ctx: &dyn Display) -> Result<Submission, FaircrowdError> {
     Ok(Submission {
         id: SubmissionId::new(u32_field(json, "id", ctx)?),
         task: TaskId::new(u32_field(json, "task", ctx)?),
@@ -1001,14 +994,14 @@ fn submission_from_json(json: &Json, ctx: &str) -> Result<Submission, FaircrowdE
     })
 }
 
-fn contribution_from_json(json: &Json, ctx: &str) -> Result<Contribution, FaircrowdError> {
+fn contribution_from_json(json: &Json, ctx: &dyn Display) -> Result<Contribution, FaircrowdError> {
     let members = json.as_obj().unwrap_or(&[]);
     let [(tag, value)] = members else {
         return Err(FaircrowdError::persist(format!(
             "{ctx}: contribution should be one `{{\"label\"|\"text\"|\"ranking\"|\"numeric\": …}}` member"
         )));
     };
-    match (tag.as_str(), value) {
+    match (&**tag, value) {
         ("label", v) => v
             .as_u64()
             .and_then(|l| u8::try_from(l).ok())
@@ -1027,7 +1020,7 @@ fn contribution_from_json(json: &Json, ctx: &str) -> Result<Contribution, Faircr
     .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: malformed `{tag}` contribution")))
 }
 
-fn event_from_json(json: &Json, ctx: &str) -> Result<Event, FaircrowdError> {
+fn event_from_json(json: &Json, ctx: &dyn Display) -> Result<Event, FaircrowdError> {
     let time = SimTime::from_secs(u64_field(json, "time", ctx)?);
     let seq = u64_field(json, "seq", ctx)?;
     let tag = str_field(json, "kind", ctx)?;
@@ -1476,7 +1469,8 @@ mod tests {
 
     #[test]
     fn unsupported_version_is_rejected() {
-        let mut json = trace_to_json(&full_trace());
+        let trace = full_trace();
+        let mut json = trace_to_json(&trace);
         if let Json::Obj(members) = &mut json {
             for (k, v) in members.iter_mut() {
                 if k == "version" {

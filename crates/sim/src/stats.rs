@@ -119,34 +119,31 @@ impl TraceSummary {
     /// Encode as a JSON object, losslessly: counts as integer tokens,
     /// ratios in shortest round-trip float form, money as millicents.
     /// Sweep part files persist per-cell summaries through this.
-    pub fn to_json(&self) -> Json {
+    pub fn to_json(&self) -> Json<'_> {
         Json::Obj(vec![
             (
-                "active_workers".to_owned(),
+                "active_workers".into(),
                 Json::uint(self.active_workers as u64),
             ),
-            ("quits".to_owned(), Json::uint(self.quits as u64)),
+            ("quits".into(), Json::uint(self.quits as u64)),
             (
-                "frustration_quits".to_owned(),
+                "frustration_quits".into(),
                 Json::uint(self.frustration_quits as u64),
             ),
-            ("retention".to_owned(), Json::float(self.retention)),
+            ("retention".into(), Json::float(self.retention)),
+            ("submissions".into(), Json::uint(self.submissions as u64)),
+            ("label_quality".into(), Json::float(self.label_quality)),
+            ("approval_rate".into(), Json::float(self.approval_rate)),
             (
-                "submissions".to_owned(),
-                Json::uint(self.submissions as u64),
-            ),
-            ("label_quality".to_owned(), Json::float(self.label_quality)),
-            ("approval_rate".to_owned(), Json::float(self.approval_rate)),
-            (
-                "total_paid_millicents".to_owned(),
+                "total_paid_millicents".into(),
                 Json::int(self.total_paid.millicents()),
             ),
             (
-                "interruptions".to_owned(),
+                "interruptions".into(),
                 Json::uint(self.interruptions as u64),
             ),
             (
-                "uncompensated_interruptions".to_owned(),
+                "uncompensated_interruptions".into(),
                 Json::uint(self.uncompensated_interruptions as u64),
             ),
         ])
@@ -242,7 +239,8 @@ mod tests {
     #[test]
     fn summary_json_roundtrips_bit_exact() {
         let s = TraceSummary::of(&trace());
-        let json = Json::parse(&s.to_json().to_compact()).unwrap();
+        let text = s.to_json().to_compact();
+        let json = Json::parse(&text).unwrap();
         let back = TraceSummary::from_json(&json, "test").unwrap();
         assert_eq!(back, s);
         assert_eq!(back.retention.to_bits(), s.retention.to_bits());

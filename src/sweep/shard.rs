@@ -504,18 +504,18 @@ pub fn merge_paths<P: AsRef<Path>>(paths: &[P]) -> Result<SweepResult, Faircrowd
 
 // ---- codecs ---------------------------------------------------------
 
-fn header_to_json(h: &PartHeader) -> Json {
+fn header_to_json(h: &PartHeader) -> Json<'_> {
     Json::Obj(vec![
-        ("schema".to_owned(), Json::str(SCHEMA)),
-        ("version".to_owned(), Json::uint(VERSION)),
-        ("grid_hash".to_owned(), Json::uint(h.grid_hash)),
-        ("cases".to_owned(), Json::uint(h.cases as u64)),
+        ("schema".into(), Json::str(SCHEMA)),
+        ("version".into(), Json::uint(VERSION)),
+        ("grid_hash".into(), Json::uint(h.grid_hash)),
+        ("cases".into(), Json::uint(h.cases as u64)),
         (
-            "seeds_per_group".to_owned(),
+            "seeds_per_group".into(),
             Json::uint(h.seeds_per_group as u64),
         ),
-        ("shard".to_owned(), Json::uint(h.shard as u64)),
-        ("shards".to_owned(), Json::uint(h.shards as u64)),
+        ("shard".into(), Json::uint(h.shard as u64)),
+        ("shards".into(), Json::uint(h.shards as u64)),
     ])
 }
 
@@ -587,44 +587,41 @@ fn enforce_spec(e: &Enforcement) -> String {
     }
 }
 
-fn case_to_json(case: &SweepCase) -> Json {
+fn case_to_json(case: &SweepCase) -> Json<'_> {
     Json::Obj(vec![
-        ("scenario".to_owned(), Json::str(&*case.scenario)),
+        ("scenario".into(), Json::str(&*case.scenario)),
         (
-            "policy".to_owned(),
+            "policy".into(),
             match &case.policy {
                 Some(p) => Json::str(&**p),
                 None => Json::Null,
             },
         ),
-        ("policy_label".to_owned(), Json::str(&*case.policy_label)),
+        ("policy_label".into(), Json::str(&*case.policy_label)),
         (
-            "strategy".to_owned(),
+            "strategy".into(),
             match &case.strategy {
                 Some(s) => Json::str(&**s),
                 None => Json::Null,
             },
         ),
+        ("strategy_label".into(), Json::str(&*case.strategy_label)),
+        ("seed".into(), Json::uint(case.seed)),
+        ("scale".into(), Json::float(case.scale)),
+        ("rounds".into(), Json::uint(u64::from(case.rounds))),
         (
-            "strategy_label".to_owned(),
-            Json::str(&*case.strategy_label),
-        ),
-        ("seed".to_owned(), Json::uint(case.seed)),
-        ("scale".to_owned(), Json::float(case.scale)),
-        ("rounds".to_owned(), Json::uint(u64::from(case.rounds))),
-        (
-            "aggregator".to_owned(),
+            "aggregator".into(),
             match &case.aggregator {
                 Some(a) => Json::str(&**a),
                 None => Json::Null,
             },
         ),
         (
-            "aggregator_label".to_owned(),
+            "aggregator_label".into(),
             Json::str(&*case.aggregator_label),
         ),
         (
-            "enforce".to_owned(),
+            "enforce".into(),
             Json::Arr(
                 case.enforcements
                     .iter()
@@ -708,24 +705,21 @@ fn case_from_json(json: &Json, ctx: impl std::fmt::Display) -> Result<SweepCase,
     })
 }
 
-fn cell_to_json(cell: usize, outcome: &CaseOutcome) -> Json {
+fn cell_to_json(cell: usize, outcome: &CaseOutcome) -> Json<'_> {
     Json::Obj(vec![
-        ("cell".to_owned(), Json::uint(cell as u64)),
-        ("case".to_owned(), case_to_json(&outcome.case)),
+        ("cell".into(), Json::uint(cell as u64)),
+        ("case".into(), case_to_json(&outcome.case)),
+        ("report".into(), results::report_to_json(&outcome.report)),
+        ("summary".into(), outcome.summary.to_json()),
         (
-            "report".to_owned(),
-            results::report_to_json(&outcome.report),
-        ),
-        ("summary".to_owned(), outcome.summary.to_json()),
-        (
-            "wages".to_owned(),
+            "wages".into(),
             match &outcome.wages {
                 Some(w) => results::wages_to_json(w),
                 None => Json::Null,
             },
         ),
         (
-            "consensus".to_owned(),
+            "consensus".into(),
             match outcome.consensus {
                 Some(a) => Json::float(a),
                 None => Json::Null,
