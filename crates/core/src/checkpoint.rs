@@ -530,20 +530,7 @@ fn finding_to_json(f: &LiveFinding) -> Json<'_> {
 /// [`load`], the path untrusted files come through.
 pub fn decode(text: &str) -> Result<Checkpoint, FaircrowdError> {
     let json = Json::parse(text).map_err(FaircrowdError::persist)?;
-    let schema = json.get("schema").and_then(Json::as_str).ok_or_else(|| {
-        FaircrowdError::persist("missing `schema` field — not a faircrowd checkpoint file")
-    })?;
-    if schema != SCHEMA_NAME {
-        return Err(FaircrowdError::persist(format!(
-            "schema is `{schema}`, expected `{SCHEMA_NAME}`"
-        )));
-    }
-    let version = u64_field(&json, "version", "checkpoint")?;
-    if version != SCHEMA_VERSION {
-        return Err(FaircrowdError::persist(format!(
-            "unsupported checkpoint version {version} (this build reads version {SCHEMA_VERSION})"
-        )));
-    }
+    trace_io::check_schema(&json, SCHEMA_NAME, SCHEMA_VERSION).map_err(FaircrowdError::persist)?;
     let seq = u64_field(&json, "seq", "checkpoint")?;
     let events_seen = u64_field(&json, "events_seen", "checkpoint")?;
     if seq != events_seen {

@@ -462,33 +462,7 @@ impl AuditDaemon {
     /// deterministic order (market name, then per-market emission
     /// order). Per-market errors fail that market only.
     pub fn poll(&mut self) -> Vec<DaemonFinding> {
-        let jobs = self.config.jobs;
-        let config = &self.config;
-        let mut shards: Vec<Vec<&mut Market>> = (0..jobs).map(|_| Vec::new()).collect();
-        for m in self.markets.values_mut() {
-            if m.failed.is_none() {
-                shards[m.shard % jobs].push(m);
-            }
-        }
-        let results: Vec<RoundResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .filter(|shard| !shard.is_empty())
-                .map(|shard| {
-                    s.spawn(move || {
-                        shard
-                            .into_iter()
-                            .map(|m| run_market(m, config))
-                            .collect::<Vec<RoundResult>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        });
-        self.merge(results)
+        self.run_shards(run_market)
     }
 
     /// Close every stream: feed any trailing partial line, finalize
@@ -497,6 +471,16 @@ impl AuditDaemon {
     /// the complete state. Returns the closing findings in the same
     /// merged order as [`AuditDaemon::poll`].
     pub fn finalize(&mut self) -> Vec<DaemonFinding> {
+        self.run_shards(finalize_market)
+    }
+
+    /// Run `step` over every live market, shards concurrently on a
+    /// scoped thread pool, and merge the results in the deterministic
+    /// output order.
+    fn run_shards(
+        &mut self,
+        step: fn(&mut Market, &DaemonConfig) -> RoundResult,
+    ) -> Vec<DaemonFinding> {
         let jobs = self.config.jobs;
         let config = &self.config;
         let mut shards: Vec<Vec<&mut Market>> = (0..jobs).map(|_| Vec::new()).collect();
@@ -513,7 +497,7 @@ impl AuditDaemon {
                     s.spawn(move || {
                         shard
                             .into_iter()
-                            .map(|m| finalize_market(m, config))
+                            .map(|m| step(m, config))
                             .collect::<Vec<RoundResult>>()
                     })
                 })

@@ -469,7 +469,7 @@ fn ground_truth_to_json(gt: &GroundTruth) -> Json<'static> {
 /// [`FaircrowdError::Persist`] with the offending record and field
 /// named; referential integrity is left to [`Trace::ensure_valid`].
 pub fn trace_from_json(json: &Json) -> Result<Trace, FaircrowdError> {
-    check_schema(json)?;
+    check_schema(json, SCHEMA_NAME, SCHEMA_VERSION).map_err(FaircrowdError::persist)?;
     let mut trace = Trace {
         horizon: SimTime::from_secs(u64_field(json, "horizon", "trace")?),
         disclosure: disclosure_from_json(require(json, "disclosure", "trace")?)?,
@@ -606,7 +606,7 @@ impl JsonlReader {
         if self.header.is_none() {
             let header = Json::parse(line)
                 .map_err(|e| FaircrowdError::persist(format!("line {lineno} (header): {e}")))?;
-            check_schema(&header)?;
+            check_schema(&header, SCHEMA_NAME, SCHEMA_VERSION).map_err(FaircrowdError::persist)?;
             // A whole-file JSON trace minified onto one line carries the
             // same schema name and version but no `format` marker; it
             // must be rejected here, not silently read as a header whose
@@ -699,24 +699,29 @@ pub fn trace_from_jsonl(text: &str) -> Result<Trace, FaircrowdError> {
     Ok(trace)
 }
 
-fn check_schema(json: &Json) -> Result<(), FaircrowdError> {
-    let obj_like = json
-        .as_obj()
-        .ok_or_else(|| FaircrowdError::persist("top-level value is not an object"))?;
-    let _ = obj_like;
-    let schema = json.get("schema").and_then(Json::as_str).ok_or_else(|| {
-        FaircrowdError::persist("missing `schema` field — not a faircrowd trace file")
-    })?;
-    if schema != SCHEMA_NAME {
-        return Err(FaircrowdError::persist(format!(
-            "schema is `{schema}`, expected `{SCHEMA_NAME}`"
-        )));
+/// The schema gate every JSON-bodied format shares (trace JSON and
+/// JSONL, checkpoints, sweep part files): the top-level value must be an
+/// object whose `schema` field is `name` and whose `version` is
+/// `version`. Returns the failure message so each caller can wrap it in
+/// its own context.
+pub fn check_schema(json: &Json, name: &str, version: u64) -> Result<(), String> {
+    if json.as_obj().is_none() {
+        return Err("top-level value is not an object".into());
     }
-    let version = u64_field(json, "version", "trace")?;
-    if version != SCHEMA_VERSION {
-        return Err(FaircrowdError::persist(format!(
-            "unsupported schema version {version} (this build reads version {SCHEMA_VERSION})"
-        )));
+    let Some(schema) = json.get("schema").and_then(Json::as_str) else {
+        return Err(format!(
+            "missing `schema` field — not a {} file",
+            name.replace('-', " ")
+        ));
+    };
+    if schema != name {
+        return Err(format!("schema is `{schema}`, expected `{name}`"));
+    }
+    let found = u64_field(json, "version", name).map_err(|e| e.to_string())?;
+    if found != version {
+        return Err(format!(
+            "unsupported {name} version {found} (this build reads version {version})"
+        ));
     }
     Ok(())
 }

@@ -2,22 +2,9 @@
 //! audit → enforce → report pipeline and work with transparency policies
 //! from the shell.
 //!
-//! ```text
-//! faircrowd axioms                         print the paper's seven axioms
-//! faircrowd run   [OPTS] [--live] [--enforce E]...  full pipeline incl. enforcement re-audit
-//! faircrowd converge [OPTS]                iterate a strategic market to its fixed point, audit it
-//! faircrowd audit [OPTS | --trace FILE]    audit a simulated market or a trace file
-//! faircrowd export [OPTS] --out FILE       simulate a market and write its trace
-//! faircrowd replay <FILE>                  load a trace file, audit it, report
-//! faircrowd watch <FILE.jsonl> [--once]    tail a (growing) JSONL trace, stream violations
-//! faircrowd serve <DIR> [--checkpoint-dir D]  audit every <market>.jsonl in DIR at once
-//! faircrowd sweep [--grid G] [--jobs N] [--format F]   parallel grid sweep
-//! faircrowd frontier [--grid G] [--jobs N] [--format F]  quality/fairness Pareto frontier
-//! faircrowd scenarios                      list the named scenario catalog
-//! faircrowd policies                       list the TPL platform catalog
-//! faircrowd render <policy>                human-readable policy description
-//! faircrowd compare <a> <b>                diff two catalog policies
-//! ```
+//! `faircrowd --help` lists the verbs; each verb's flags live in one
+//! table (`tables`) that drives its parsing, its help block and its
+//! unknown-flag error.
 //!
 //! Every market command goes through [`faircrowd::Pipeline`] and selects
 //! assignment policies via the registry
@@ -48,6 +35,7 @@ use faircrowd::sim::catalog as scenarios;
 use faircrowd::sim::{strategy, StrategyChoice};
 use std::io::Write as _;
 use std::process::ExitCode;
+use tables::*;
 
 /// `print!` for everything the verbs write to stdout; see [`write_stdout`].
 macro_rules! out {
@@ -81,7 +69,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str);
     let result = match command {
-        Some("axioms") => axioms(),
+        Some("axioms") => axioms(&args[1..]),
         Some("run") => run_cmd(&args[1..], true),
         Some("converge") => converge_cmd(&args[1..]),
         Some("audit") => run_cmd(&args[1..], false),
@@ -92,12 +80,12 @@ fn main() -> ExitCode {
         Some("sweep") => sweep(&args[1..]),
         Some("frontier") => frontier_cmd(&args[1..]),
         Some("merge") => merge_cmd(&args[1..]),
-        Some("scenarios") => scenarios_cmd(),
-        Some("policies") => policies(),
+        Some("scenarios") => scenarios_cmd(&args[1..]),
+        Some("policies") => policies(&args[1..]),
         Some("render") => render_cmd(&args[1..]),
         Some("compare") => compare_cmd(&args[1..]),
         Some("--help") | Some("-h") | Some("help") | None => {
-            usage();
+            outln!("{}", usage_text());
             Ok(())
         }
         Some(other) => Err(FaircrowdError::usage(format!("unknown command `{other}`"))),
@@ -117,15 +105,23 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage() {
-    outln!("{}", usage_text());
-}
-
 /// The full `--help` text. A function (not an inline `println!`) so the
 /// tests can assert that every registry — policies, strategies,
-/// scenarios, aggregators — is listed verbatim: the help must never
-/// fall behind a grown registry.
+/// scenarios, aggregators — and every flag table is listed verbatim:
+/// the help must never fall behind a grown registry or table.
 fn usage_text() -> String {
+    let blocks = [
+        ("OPTS", [MARKET_OPTS, &[LIVE, ENFORCE, OUT, TRACE]].concat()),
+        ("CONVERGE-OPTS", CONVERGE_OPTS.to_vec()),
+        ("WATCH-OPTS", WATCH.flags.concat()),
+        ("SERVE-OPTS", SERVE.flags.concat()),
+        ("SWEEP-OPTS", SWEEP.flags.concat()),
+        ("FRONTIER-OPTS", FRONTIER.flags.concat()),
+    ];
+    let blocks: String = blocks
+        .iter()
+        .map(|(title, flags)| opts_block(title, flags))
+        .collect();
     format!(
         "faircrowd — fairness and transparency auditing for crowdsourcing\n\n\
          USAGE:\n  \
@@ -155,56 +151,7 @@ fn usage_text() -> String {
          `replay` and `audit --trace` sniff and accept all three (validated:\n  \
          schema version + referential integrity, never a panic); `watch` tails\n  \
          the JSONL form and ingests a finished `.fcb` recording in one shot\n\n\
-         OPTS:\n  \
-         --scenario NAME  start from a catalog scenario (default: flag-built market)\n  \
-         --policy NAME    assignment policy (default self_selection)\n  \
-         --strategy NAME  agent-strategy profile (default static; strategic profiles\n                   \
-         converge via fixed-point iteration; conflicts with a\n                   \
-         strategic-family --scenario, whose profile is baked in)\n  \
-         --seed N         simulation seed (default 42)\n  \
-         --rounds N       market rounds (default 48)\n  \
-         --workers N      diligent workers (default 30; ignored with --scenario)\n  \
-         --opaque         run the platform with an opaque disclosure set\n  \
-         --live           (run) audit during the simulation, printing each\n                   \
-         violation at the event that introduced it\n  \
-         --out FILE       (export) where to write the trace\n  \
-         --trace FILE     (audit) audit a recorded trace instead of simulating\n\n\
-         CONVERGE-OPTS:\n  \
-         --tolerance F    fixed-point residual tolerance (default 0.005)\n  \
-         --max-iters N    iteration cap before a named divergence error (default 40)\n  \
-         --gain F         proportional-controller gain in (0, 1] (default 0.5)\n\n\
-         WATCH-OPTS:\n  \
-         --once           process the file's current contents and stop (no tailing)\n  \
-         --idle-ms N      stop after N ms with no growth (default 1500)\n  \
-         --checkpoint FILE  snapshot auditor state to FILE as the stream grows and\n                     \
-         resume from it on restart (no log replay)\n  \
-         --checkpoint-every N  events between snapshots (default 512)\n\n\
-         SERVE-OPTS:\n  \
-         --checkpoint-dir D  snapshot each market to D/<market>.checkpoint.json and\n                      \
-         resume every stream from its checkpoint on restart\n  \
-         --checkpoint-every N  events between snapshots, per market (default 512)\n  \
-         --jobs N         shard threads (default: available cores)\n  \
-         --once           process current contents and stop (no tailing)\n  \
-         --idle-ms N      stop after N ms with no growth on any stream (default 1500)\n\n\
-         SWEEP-OPTS:\n  \
-         --grid SPEC      axes as `axis=v1,v2;…` over scenario | policy | strategy |\n                   \
-         seed | scale | rounds | enforce | aggregator — `*` for every\n                   \
-         name, `a..b` or `a..=b` seed ranges, `+`-stacked enforcements\n                   \
-         (default `policy=*`); strategic cells converge before auditing\n  \
-         --jobs N         worker threads (default: available cores)\n  \
-         --format F       table | json | csv (default table)\n  \
-         --shard i/N      run only shard i of an N-way split, appending each finished\n                   \
-         cell to --out FILE (killed shards resume: done cells are\n                   \
-         loaded from the part file and skipped)\n  \
-         --out FILE       (with --shard) the part file; render via `faircrowd merge`\n  \
-         --progress       one stderr line per completed cell (stdout unchanged)\n\n\
-         FRONTIER-OPTS:\n  \
-         --grid SPEC      same grammar as sweep; axes left unset default to the\n                   \
-         frontier contrast — every policy, every aggregator,\n                   \
-         enforce=none,parity (a plain sweep defaults each to one point)\n  \
-         --jobs N         worker threads (default: available cores)\n  \
-         --format F       table | json (default table; `*` marks Pareto members)\n  \
-         --progress       one stderr line per completed cell (stdout unchanged)\n\n\
+         {blocks}\
          enforcements for --enforce (repeatable) and the enforce axis:\n  \
          parity | floor:N | transparency | grace\n\n\
          assignment policies (registry names):\n  {}\n\n\
@@ -221,7 +168,373 @@ fn usage_text() -> String {
     )
 }
 
-fn scenarios_cmd() -> Result<(), FaircrowdError> {
+/// One `--help` block: a line per accepted flag, the help text in a
+/// common column.
+fn opts_block(title: &str, flags: &[Flag]) -> String {
+    let flags: Vec<&Flag> = flags.iter().filter(|f| f.refusal.is_none()).collect();
+    let width = flags.iter().map(|f| f.head().len()).max().unwrap_or(0) + 2;
+    let mut block = format!("{title}:\n");
+    for f in flags {
+        let help = match f.values {
+            [] => f.help.to_owned(),
+            values => format!("{} {}", values.join(" | "), f.help),
+        };
+        let help = help.replace('\n', &format!("\n  {:width$}", ""));
+        block += &format!("  {:width$}{help}\n", f.head());
+    }
+    block + "\n"
+}
+
+/// One row of a verb's flag table.
+#[derive(Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder; empty for a switch.
+    metavar: &'static str,
+    help: &'static str,
+    /// May be given more than once. Any other flag given twice is a
+    /// usage error: keeping either value would report on a run the user
+    /// did not ask for.
+    repeats: bool,
+    /// The fixed set of accepted values; empty for any value.
+    values: &'static [&'static str],
+    /// Set for a flag the verb diagnoses instead of accepting: the
+    /// usage error it answers with.
+    refusal: Option<&'static str>,
+}
+
+impl Flag {
+    /// The flag as `--help` spells it: name plus metavar.
+    fn head(&self) -> String {
+        format!("{} {}", self.name, self.metavar)
+            .trim_end()
+            .to_owned()
+    }
+}
+
+const fn opt(name: &'static str, metavar: &'static str, help: &'static str) -> Flag {
+    Flag {
+        name,
+        metavar,
+        help,
+        repeats: false,
+        values: &[],
+        refusal: None,
+    }
+}
+
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    opt(name, "", help)
+}
+
+const fn refuse(name: &'static str, why: &'static str) -> Flag {
+    Flag {
+        refusal: Some(why),
+        ..switch(name, "")
+    }
+}
+
+/// A verb's command line: its flag table and its operands.
+struct Verb {
+    name: &'static str,
+    /// Flag groups, so a shared group (the market flags) is written once.
+    flags: &'static [&'static [Flag]],
+    /// Operands accepted: at least `.0`, at most `.1`.
+    operands: (usize, usize),
+    /// The usage error for too few operands.
+    usage: &'static str,
+    /// Why an operand past the last is refused.
+    surplus: &'static str,
+    /// Appended to the unknown-flag error.
+    hint: &'static str,
+}
+
+/// The flag tables: one per verb, the single source of its parsing, its
+/// `--help` block and its unknown-flag error.
+#[rustfmt::skip]
+mod tables {
+    use super::{opt, refuse, switch, Flag, Verb};
+
+    /// The market flags shared by `run`, `audit`, `converge` and `export`.
+    pub const MARKET_OPTS: &[Flag] = &[
+        opt("--scenario", "NAME", "start from a catalog scenario (default: flag-built market)"),
+        opt("--policy", "NAME", "assignment policy (default self_selection)"),
+        opt("--strategy", "NAME", "agent-strategy profile (default static; strategic profiles\n\
+            converge via fixed-point iteration; conflicts with a\n\
+            strategic-family --scenario, whose profile is baked in)"),
+        opt("--seed", "N", "simulation seed (default 42)"),
+        opt("--rounds", "N", "market rounds (default 48)"),
+        opt("--workers", "N", "diligent workers (default 30; ignored with --scenario)"),
+        switch("--opaque", "run the platform with an opaque disclosure set"),
+    ];
+    pub const LIVE: Flag = switch("--live", "(run) audit during the simulation, printing each\n\
+        violation at the event that introduced it");
+    pub const ENFORCE: Flag =
+        Flag { repeats: true, ..opt("--enforce", "E", "(run) repair the config, then re-audit") };
+    pub const OUT: Flag = opt("--out", "FILE", "(export) where to write the trace");
+    pub const TRACE: Flag = opt("--trace", "FILE", "(audit) audit a recorded trace instead of simulating");
+    const NO_ENFORCE: Flag = refuse("--enforce",
+        "--enforce is only valid with `faircrowd run`; `audit`/`export` never enforce");
+    pub const CONVERGE_OPTS: &[Flag] = &[
+        opt("--tolerance", "F", "fixed-point residual tolerance (default 0.005)"),
+        opt("--max-iters", "N", "iteration cap before a named divergence error (default 40)"),
+        opt("--gain", "F", "proportional-controller gain in (0, 1] (default 0.5)"),
+    ];
+    const JOBS: Flag = opt("--jobs", "N", "worker threads (default: available cores)");
+    const PROGRESS: Flag = switch("--progress", "one stderr line per completed cell (stdout unchanged)");
+    const FORMAT: Flag = Flag { values: &["table", "json", "csv"], ..opt("--format", "F", "(default table)") };
+
+    /// The shape of the flags-only market verbs.
+    const FLAGS_ONLY: Verb = Verb {
+        name: "", flags: &[], operands: (0, 0), usage: "", surplus: "it takes flags only", hint: "",
+    };
+
+    pub const RUN: Verb = Verb { name: "run", flags: &[MARKET_OPTS, &[LIVE, ENFORCE, refuse("--trace",
+        "--trace is only valid with `faircrowd audit` (or `faircrowd replay`); `run` simulates, \
+         and config repairs cannot be applied to a platform that already ran")]], ..FLAGS_ONLY };
+
+    pub const AUDIT: Verb = Verb { name: "audit", flags: &[MARKET_OPTS, &[TRACE, NO_ENFORCE, refuse("--live",
+        "--live is only valid with `faircrowd run`; `audit --trace` replays a finished log \
+         (use `faircrowd watch` to stream one)")]], ..FLAGS_ONLY };
+
+    pub const CONVERGE: Verb = Verb { name: "converge", flags: &[MARKET_OPTS, CONVERGE_OPTS, &[
+        NO_ENFORCE,
+        refuse("--trace", "--trace is only valid with `faircrowd audit`/`replay`: `converge` \
+            iterates a simulator, while a recorded trace is already a finished market"),
+        refuse("--live", "--live is only valid with `faircrowd run`; `converge` audits the fixed \
+            point, not the iterations on the way there"),
+    ]], ..FLAGS_ONLY };
+
+    pub const EXPORT: Verb = Verb { name: "export", flags: &[MARKET_OPTS, &[OUT, NO_ENFORCE]], ..FLAGS_ONLY };
+
+    pub const REPLAY: Verb = Verb {
+        name: "replay", flags: &[&[TRACE]], operands: (0, 1), usage: "usage: faircrowd replay <trace-file>",
+        surplus: "it takes exactly one trace file (a recorded trace already fixes the market)",
+        ..FLAGS_ONLY
+    };
+
+    pub const WATCH: Verb = Verb {
+        name: "watch", operands: (1, 1), usage: "usage: faircrowd watch <trace.jsonl>",
+        surplus: "it takes exactly one trace file (`.jsonl` stream or `.fcb` recording)",
+        flags: &[&[
+            switch("--once", "process the file's current contents and stop (no tailing)"),
+            opt("--idle-ms", "N", "stop after N ms with no growth (default 1500)"),
+            opt("--checkpoint", "FILE", "snapshot auditor state to FILE as the stream grows and\n\
+                resume from it on restart (no log replay)"),
+            opt("--checkpoint-every", "N", "events between snapshots (default 512)"),
+        ]],
+        ..FLAGS_ONLY
+    };
+
+    pub const SERVE: Verb = Verb {
+        name: "serve", operands: (1, 1), usage: "usage: faircrowd serve <dir>",
+        surplus: "it takes exactly one trace directory",
+        flags: &[&[
+            opt("--checkpoint-dir", "D", "snapshot each market to D/<market>.checkpoint.json and\n\
+                resume every stream from its checkpoint on restart"),
+            opt("--checkpoint-every", "N", "events between snapshots, per market (default 512)"),
+            opt("--jobs", "N", "shard threads (default: available cores)"),
+            switch("--once", "process current contents and stop (no tailing)"),
+            opt("--idle-ms", "N", "stop after N ms with no growth on any stream (default 1500)"),
+        ]],
+        ..FLAGS_ONLY
+    };
+
+    pub const SWEEP: Verb = Verb {
+        name: "sweep",
+        surplus: "grid specs go via --grid, e.g. --grid 'seed=1..4;enforce=parity'",
+        hint: " (scenario, policy and enforcement are grid axes, e.g. \
+               --grid 'scenario=spam_campaign;policy=*;enforce=parity')",
+        flags: &[&[
+            opt("--grid", "SPEC", "axes as `axis=v1,v2;…` over scenario | policy | strategy |\n\
+                seed | scale | rounds | enforce | aggregator — `*` for every\n\
+                name, `a..b` or `a..=b` seed ranges, `+`-stacked enforcements\n\
+                (default `policy=*`); strategic cells converge before auditing"),
+            JOBS,
+            FORMAT,
+            opt("--seed", "N", "seed when the grid has no seed axis"),
+            opt("--rounds", "N", "rounds when the grid has no rounds axis"),
+            opt("--strategy", "NAME", "strategy when the grid has no strategy axis"),
+            opt("--shard", "i/N", "run only shard i of an N-way split, appending each finished\n\
+                cell to --out FILE (killed shards resume: done cells are\n\
+                loaded from the part file and skipped)"),
+            opt("--out", "FILE", "(with --shard) the part file; render via `faircrowd merge`"),
+            PROGRESS,
+        ]],
+        ..FLAGS_ONLY
+    };
+
+    pub const FRONTIER: Verb = Verb {
+        name: "frontier",
+        surplus: "grid specs go via --grid, e.g. --grid 'policy=*;aggregator=*'",
+        hint: " (policy, aggregator and enforcement are grid axes, e.g. \
+               --grid 'policy=*;aggregator=*;enforce=none,parity')",
+        flags: &[&[
+            opt("--grid", "SPEC", "same grammar as sweep; axes left unset default to the\n\
+                frontier contrast — every policy, every aggregator,\n\
+                enforce=none,parity (a plain sweep defaults each to one point)"),
+            JOBS,
+            Flag { values: &["table", "json"], ..opt("--format", "F", "(default table; `*` marks Pareto members)") },
+            PROGRESS,
+        ]],
+        ..FLAGS_ONLY
+    };
+
+    pub const MERGE: Verb = Verb {
+        name: "merge", flags: &[&[FORMAT]], operands: (1, usize::MAX),
+        usage: "usage: faircrowd merge <part.json>... [--format table|json|csv]", ..FLAGS_ONLY
+    };
+
+    pub const AXIOMS: Verb = Verb { name: "axioms", surplus: "it takes no arguments", ..FLAGS_ONLY };
+    pub const SCENARIOS: Verb = Verb { name: "scenarios", surplus: "it takes no arguments", ..FLAGS_ONLY };
+    pub const POLICIES: Verb = Verb { name: "policies", surplus: "it takes no arguments", ..FLAGS_ONLY };
+
+    pub const RENDER: Verb = Verb {
+        name: "render", operands: (1, 1), usage: "usage: faircrowd render <policy>",
+        surplus: "it takes exactly one policy name", ..FLAGS_ONLY
+    };
+
+    pub const COMPARE: Verb = Verb {
+        name: "compare", operands: (2, 2), usage: "usage: faircrowd compare <a> <b>",
+        surplus: "it takes exactly two policy names", ..FLAGS_ONLY
+    };
+}
+
+impl Verb {
+    fn accepted(&self) -> impl Iterator<Item = &Flag> {
+        self.flags
+            .iter()
+            .flat_map(|g| g.iter())
+            .filter(|f| f.refusal.is_none())
+    }
+
+    fn surplus_error(&self, arg: &str) -> FaircrowdError {
+        FaircrowdError::usage(format!(
+            "unexpected argument `{arg}` for `faircrowd {}`; {}",
+            self.name, self.surplus
+        ))
+    }
+
+    /// Walk `argv` once against the table. Every usage mistake — an
+    /// unknown, refused, dangling or repeated flag, a value outside a
+    /// fixed set, too few or too many operands — is an error here,
+    /// before the verb does any work.
+    fn parse<'a>(&self, argv: &'a [String]) -> Result<Args<'a>, FaircrowdError> {
+        let usage = |message: String| Err(FaircrowdError::usage(message));
+        let mut args = Args::default();
+        let mut rest = argv.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if !arg.starts_with("--") {
+                if args.operands.len() == self.operands.1 {
+                    return Err(self.surplus_error(arg));
+                }
+                args.operands.push(arg);
+                continue;
+            }
+            let Some(flag) = self
+                .flags
+                .iter()
+                .flat_map(|g| g.iter())
+                .find(|f| f.name == arg)
+            else {
+                let names: Vec<&str> = self.accepted().map(|f| f.name).collect();
+                let supported = match names.is_empty() {
+                    true => "it takes no flags".to_owned(),
+                    false => format!("supported: {}{}", names.join(" "), self.hint),
+                };
+                return usage(format!(
+                    "unknown flag `{arg}` for `faircrowd {}`; {supported}",
+                    self.name
+                ));
+            };
+            if let Some(why) = flag.refusal {
+                return usage(why.to_owned());
+            }
+            if !flag.repeats && args.has(arg) {
+                return usage(format!("`{arg}` given twice"));
+            }
+            let value = match flag.metavar {
+                "" => "",
+                _ => match rest.next() {
+                    Some(value) => value,
+                    None => return usage(format!("{arg} requires a value")),
+                },
+            };
+            if !flag.values.is_empty() && !flag.values.contains(&value) {
+                return usage(format!(
+                    "unknown {} `{value}` for `faircrowd {}`; expected {}",
+                    &arg[2..],
+                    self.name,
+                    flag.values.join(" | ")
+                ));
+            }
+            args.flags.push((flag.name, value));
+        }
+        if args.operands.len() < self.operands.0 {
+            return usage(self.usage.to_owned());
+        }
+        Ok(args)
+    }
+}
+
+/// A verb's command line as parsed against its table: the operands,
+/// and each accepted flag with its value (empty for a switch).
+#[derive(Debug, Default)]
+struct Args<'a> {
+    operands: Vec<&'a str>,
+    flags: Vec<(&'static str, &'a str)>,
+}
+
+impl<'a> Args<'a> {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(name, _)| *name == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.all(flag).next()
+    }
+
+    /// Every value of a repeatable flag, in command-line order.
+    fn all<'s>(&'s self, flag: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.flags
+            .iter()
+            .filter(move |(name, _)| *name == flag)
+            .map(|(_, value)| *value)
+    }
+
+    fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, FaircrowdError> {
+        let invalid = |raw| FaircrowdError::usage(format!("invalid value `{raw}` for {flag}"));
+        self.value(flag)
+            .map(|raw| raw.parse().map_err(|_| invalid(raw)))
+            .transpose()
+    }
+
+    fn parse<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, FaircrowdError> {
+        Ok(self.parsed(flag)?.unwrap_or(default))
+    }
+
+    /// Count-like flags (`--jobs`, `--idle-ms`, `--checkpoint-every`):
+    /// every verb rejects zero and non-numeric values with the same
+    /// "expected a positive integer" wording.
+    fn positive(&self, flag: &str, default: u64) -> Result<u64, FaircrowdError> {
+        match self.value(flag).map(|raw| (raw, raw.parse::<u64>())) {
+            None => Ok(default),
+            Some((_, Ok(n))) if n > 0 => Ok(n),
+            Some((raw, _)) => Err(FaircrowdError::usage(format!(
+                "invalid value `{raw}` for {flag}: expected a positive integer"
+            ))),
+        }
+    }
+
+    /// `--jobs`, defaulting to the available cores.
+    fn jobs(&self) -> Result<usize, FaircrowdError> {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        Ok(self.positive("--jobs", cores as u64)? as usize)
+    }
+}
+
+fn scenarios_cmd(argv: &[String]) -> Result<(), FaircrowdError> {
+    SCENARIOS.parse(argv)?;
     outln!("scenario catalog (faircrowd-sim::catalog):\n");
     outln!("static family — fixed parameterisations, one simulation pass:");
     for name in scenarios::STATIC_NAMES {
@@ -244,99 +557,10 @@ fn scenarios_cmd() -> Result<(), FaircrowdError> {
     Ok(())
 }
 
-fn axioms() -> Result<(), FaircrowdError> {
+fn axioms(argv: &[String]) -> Result<(), FaircrowdError> {
+    AXIOMS.parse(argv)?;
     for id in AxiomId::ALL {
         outln!("{}\n  {}\n", id.label(), id.statement());
-    }
-    Ok(())
-}
-
-/// The value following `flag`, `Ok(None)` when the flag is absent, and
-/// a usage error when the flag dangles at the end of the line — a
-/// dangling flag silently falling back to defaults would report results
-/// for a run the user didn't ask for.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, FaircrowdError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .map(String::as_str)
-            .map(Some)
-            .ok_or_else(|| FaircrowdError::usage(format!("{flag} requires a value"))),
-    }
-}
-
-fn parse_flag<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, FaircrowdError> {
-    match flag_value(args, flag)? {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| FaircrowdError::usage(format!("invalid value `{raw}` for {flag}"))),
-    }
-}
-
-/// The shared parser for count-like flags (`--jobs`, `--idle-ms`,
-/// `--checkpoint-every`): every verb rejects zero and non-numeric
-/// values with the same "expected a positive integer" wording, instead
-/// of each flag loop rolling its own.
-fn positive_flag(args: &[String], flag: &str, default: u64) -> Result<u64, FaircrowdError> {
-    match flag_value(args, flag)? {
-        None => Ok(default),
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(FaircrowdError::usage(format!(
-                "invalid value `{raw}` for {flag}: expected a positive integer"
-            ))),
-        },
-    }
-}
-
-/// The market flags shared by `run`, `audit`, `converge` and `export`.
-const MARKET_FLAGS: [&str; 7] = [
-    "--scenario",
-    "--policy",
-    "--strategy",
-    "--seed",
-    "--rounds",
-    "--workers",
-    "--opaque",
-];
-
-/// The flags that take no value.
-const SWITCHES: [&str; 2] = ["--opaque", "--live"];
-
-/// Reject what `faircrowd <verb>` would otherwise silently ignore: a
-/// flag that is neither `supported` nor `diagnosed` (misused flags the
-/// verb answers with its own, more specific usage error), or a bare
-/// argument that is no flag's value. A typo such as `--sacle 4` must
-/// not quietly run the default market.
-fn reject_unknown(
-    verb: &str,
-    args: &[String],
-    supported: &[&str],
-    diagnosed: &[&str],
-) -> Result<(), FaircrowdError> {
-    let mut expects_value = false;
-    for arg in args {
-        let arg = arg.as_str();
-        if expects_value {
-            expects_value = false;
-        } else if supported.contains(&arg) || diagnosed.contains(&arg) {
-            expects_value = !SWITCHES.contains(&arg);
-        } else if arg.starts_with("--") {
-            return Err(FaircrowdError::usage(format!(
-                "unknown flag `{arg}` for `faircrowd {verb}`; supported: {}",
-                supported.join(" ")
-            )));
-        } else {
-            return Err(FaircrowdError::usage(format!(
-                "unexpected argument `{arg}` for `faircrowd {verb}`; it takes flags only"
-            )));
-        }
     }
     Ok(())
 }
@@ -345,25 +569,25 @@ fn reject_unknown(
 /// preset when `--scenario` names one, else the flag-built default —
 /// two comparable labeling campaigns over a full-participation diligent
 /// population, so Axioms 1–3 have pairs to quantify over.
-fn scenario_from_flags(args: &[String]) -> Result<ScenarioConfig, FaircrowdError> {
-    let mut config = if let Some(name) = flag_value(args, "--scenario")? {
+fn scenario_from_flags(args: &Args) -> Result<ScenarioConfig, FaircrowdError> {
+    let mut config = if let Some(name) = args.value("--scenario") {
         scenarios::get(name)?
     } else {
         // The flag-built default market IS the catalog baseline —
         // resolved from the catalog so the two can never drift apart;
         // --workers resizes its single diligent population.
         let mut config = scenarios::get("baseline")?;
-        config.workers[0].count = parse_flag(args, "--workers", config.workers[0].count)?;
+        config.workers[0].count = args.parse("--workers", config.workers[0].count)?;
         config
     };
     // Explicit flags override whichever base was chosen; a catalog
     // scenario's own seed/rounds survive when the flag is absent.
-    config.seed = parse_flag(args, "--seed", config.seed)?;
-    config.rounds = parse_flag(args, "--rounds", config.rounds)?;
-    if args.iter().any(|a| a == "--opaque") {
+    config.seed = args.parse("--seed", config.seed)?;
+    config.rounds = args.parse("--rounds", config.rounds)?;
+    if args.has("--opaque") {
         config.disclosure = DisclosureSet::opaque();
     }
-    if let Some(name) = flag_value(args, "--strategy")? {
+    if let Some(name) = args.value("--strategy") {
         // Resolve first: an unknown name must list the registry, not
         // fall through to the scenario's default.
         let choice = StrategyChoice::by_name(name)?;
@@ -372,7 +596,7 @@ fn scenario_from_flags(args: &[String]) -> Result<ScenarioConfig, FaircrowdError
                 "--strategy {name} conflicts with --scenario {}: its `{}` profile is part \
                  of the scenario definition (strategic family; see `faircrowd scenarios`). \
                  Pick a static-family scenario to override, or drop --strategy",
-                flag_value(args, "--scenario")?.unwrap_or("<flag-built>"),
+                args.value("--scenario").unwrap_or("<flag-built>"),
                 config.strategy.label()
             )));
         }
@@ -381,64 +605,24 @@ fn scenario_from_flags(args: &[String]) -> Result<ScenarioConfig, FaircrowdError
     Ok(config)
 }
 
-fn pipeline_from_flags(args: &[String], with_enforce: bool) -> Result<Pipeline, FaircrowdError> {
-    let policy_name = flag_value(args, "--policy")?.unwrap_or("self_selection");
+/// The market pipeline the flags describe, with every `--enforce`
+/// repair (only `run`'s table accepts the flag).
+fn pipeline_from_flags(args: &Args) -> Result<Pipeline, FaircrowdError> {
     let mut pipeline = Pipeline::new()
         .scenario(scenario_from_flags(args)?)
-        .policy_name(policy_name)?;
-    if with_enforce {
-        let mut rest = args;
-        while let Some(i) = rest.iter().position(|a| a == "--enforce") {
-            let raw = rest.get(i + 1).ok_or_else(|| {
-                FaircrowdError::usage(
-                    "--enforce requires a value (parity | floor:N | transparency | grace)",
-                )
-            })?;
-            pipeline = pipeline.enforce(Enforcement::parse(raw)?);
-            rest = &rest[i + 2..];
-        }
-    } else if args.iter().any(|a| a == "--enforce") {
-        return Err(FaircrowdError::usage(
-            "--enforce is only valid with `faircrowd run`; `audit`/`export` never enforce",
-        ));
+        .policy_name(args.value("--policy").unwrap_or("self_selection"))?;
+    for raw in args.all("--enforce") {
+        pipeline = pipeline.enforce(Enforcement::parse(raw)?);
     }
     Ok(pipeline)
 }
 
-/// Flags that conflict with `--trace`: a recorded trace already fixes
-/// the scenario (so market flags would silently report on a market the
-/// user didn't replay), and config repairs cannot be applied to a
-/// platform that already ran (so `--enforce` would be silently
-/// dropped).
-const TRACE_CONFLICTS: [&str; 9] = [
-    "--scenario",
-    "--policy",
-    "--strategy",
-    "--seed",
-    "--rounds",
-    "--workers",
-    "--opaque",
-    "--enforce",
-    "--live",
-];
-
-fn run_cmd(args: &[String], with_enforce: bool) -> Result<(), FaircrowdError> {
-    if with_enforce {
-        let supported = [&MARKET_FLAGS[..], &["--enforce", "--live"]].concat();
-        reject_unknown("run", args, &supported, &["--trace"])?;
-    } else {
-        let supported = [&MARKET_FLAGS[..], &["--trace"]].concat();
-        reject_unknown("audit", args, &supported, &["--enforce", "--live"])?;
-    }
-    if let Some(path) = flag_value(args, "--trace")? {
-        if with_enforce {
-            return Err(FaircrowdError::usage(
-                "--trace is only valid with `faircrowd audit` (or `faircrowd replay`); \
-                 `run` simulates, and config repairs cannot be applied to a platform \
-                 that already ran",
-            ));
-        }
-        if let Some(bad) = args.iter().find(|a| TRACE_CONFLICTS.contains(&a.as_str())) {
+fn run_cmd(argv: &[String], with_enforce: bool) -> Result<(), FaircrowdError> {
+    let args = if with_enforce { RUN } else { AUDIT }.parse(argv)?;
+    if let Some(path) = args.value("--trace") {
+        // A recorded trace already fixes the scenario, so any market
+        // flag would silently report on a market the user didn't replay.
+        if let Some((bad, _)) = args.flags.iter().find(|(name, _)| *name != "--trace") {
             return Err(FaircrowdError::usage(format!(
                 "{bad} conflicts with --trace: a recorded trace already fixes the market \
                  and cannot be repaired after the fact"
@@ -446,18 +630,16 @@ fn run_cmd(args: &[String], with_enforce: bool) -> Result<(), FaircrowdError> {
         }
         return replay_file(path);
     }
-    let live = args.iter().any(|a| a == "--live");
-    if live && !with_enforce {
-        return Err(FaircrowdError::usage(
-            "--live is only valid with `faircrowd run`; `audit --trace` replays a finished \
-             log (use `faircrowd watch` to stream one)",
-        ));
+    if args.has("--live") {
+        if args.has("--enforce") {
+            return Err(FaircrowdError::usage(
+                "--enforce conflicts with --live: live auditing watches one run as it \
+                 happens, while enforcement repairs re-simulate a different market",
+            ));
+        }
+        return run_live(pipeline_from_flags(&args)?);
     }
-    let pipeline = pipeline_from_flags(args, with_enforce)?;
-    if live {
-        return run_live(args, pipeline);
-    }
-    let result = pipeline.run()?;
+    let result = pipeline_from_flags(&args)?.run()?;
     outln!(
         "auditing: policy={}, seed={}, rounds={}\n",
         result.config.policy.label(),
@@ -472,13 +654,7 @@ fn run_cmd(args: &[String], with_enforce: bool) -> Result<(), FaircrowdError> {
 /// each violation at the event that introduced it, then the same
 /// market-plus-report block as a batch `run` (the closing report is
 /// bit-identical to the batch audit of the same scenario).
-fn run_live(args: &[String], pipeline: Pipeline) -> Result<(), FaircrowdError> {
-    if args.iter().any(|a| a == "--enforce") {
-        return Err(FaircrowdError::usage(
-            "--enforce conflicts with --live: live auditing watches one run as it happens, \
-             while enforcement repairs re-simulate a different market",
-        ));
-    }
+fn run_live(pipeline: Pipeline) -> Result<(), FaircrowdError> {
     // The header comes off the pipeline's resolved config — the same
     // source the batch path prints — so it can never drift from what
     // actually runs.
@@ -510,35 +686,18 @@ fn run_live(args: &[String], pipeline: Pipeline) -> Result<(), FaircrowdError> {
 /// converged audit diffs cleanly against `replay` of the exported
 /// converged trace from the axiom table onward (the CI converge smoke
 /// does exactly that).
-fn converge_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let supported = [&MARKET_FLAGS[..], &["--tolerance", "--max-iters", "--gain"]].concat();
-    reject_unknown(
-        "converge",
-        args,
-        &supported,
-        &["--trace", "--live", "--enforce"],
-    )?;
-    if args.iter().any(|a| a == "--trace") {
-        return Err(FaircrowdError::usage(
-            "--trace is only valid with `faircrowd audit`/`replay`: `converge` iterates a \
-             simulator, while a recorded trace is already a finished market",
-        ));
-    }
-    if args.iter().any(|a| a == "--live") {
-        return Err(FaircrowdError::usage(
-            "--live is only valid with `faircrowd run`; `converge` audits the fixed point, \
-             not the iterations on the way there",
-        ));
-    }
+fn converge_cmd(argv: &[String]) -> Result<(), FaircrowdError> {
+    let args = CONVERGE.parse(argv)?;
     let defaults = faircrowd::sim::ConvergeOptions::default();
     let opts = faircrowd::sim::ConvergeOptions {
-        tolerance: parse_flag(args, "--tolerance", defaults.tolerance)?,
-        max_iterations: positive_flag(args, "--max-iters", u64::from(defaults.max_iterations))?
+        tolerance: args.parse("--tolerance", defaults.tolerance)?,
+        max_iterations: args
+            .positive("--max-iters", u64::from(defaults.max_iterations))?
             .try_into()
             .map_err(|_| FaircrowdError::usage("--max-iters is too large"))?,
-        gain: parse_flag(args, "--gain", defaults.gain)?,
+        gain: args.parse("--gain", defaults.gain)?,
     };
-    let pipeline = pipeline_from_flags(args, false)?.converge_options(opts.clone());
+    let pipeline = pipeline_from_flags(&args)?.converge_options(opts.clone());
     let config = pipeline.scenario_config();
     outln!(
         "converging: strategy={}, policy={}, seed={}, rounds={} \
@@ -567,13 +726,12 @@ fn converge_cmd(args: &[String]) -> Result<(), FaircrowdError> {
 
 /// `faircrowd export`: simulate the flag-selected market and write its
 /// trace to `--out` (format by extension: `.jsonl` → JSONL, else JSON).
-fn export_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let supported = [&MARKET_FLAGS[..], &["--out"]].concat();
-    reject_unknown("export", args, &supported, &["--enforce"])?;
-    let out = flag_value(args, "--out")?.ok_or_else(|| {
+fn export_cmd(argv: &[String]) -> Result<(), FaircrowdError> {
+    let args = EXPORT.parse(argv)?;
+    let out = args.value("--out").ok_or_else(|| {
         FaircrowdError::usage("export requires --out FILE (`.jsonl` for the line-oriented form)")
     })?;
-    let trace = pipeline_from_flags(args, false)?.simulate()?;
+    let trace = pipeline_from_flags(&args)?.simulate()?;
     faircrowd::core::persist::save(&trace, out)?;
     outln!(
         "exported {}: {} workers, {} tasks, {} submissions, {} events",
@@ -586,21 +744,17 @@ fn export_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     Ok(())
 }
 
-/// `faircrowd replay <FILE>`: load → validate → index → audit → report,
-/// no simulator in the loop. Anything beyond the one path is rejected
-/// rather than silently ignored.
-fn replay_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let (path, rest) = match args.first().map(String::as_str) {
-        Some("--trace") => (flag_value(args, "--trace")?, &args[2.min(args.len())..]),
-        Some(first) => (Some(first), &args[1..]),
-        None => (None, args),
-    };
-    let path = path.ok_or_else(|| FaircrowdError::usage("usage: faircrowd replay <trace-file>"))?;
-    if let Some(extra) = rest.first() {
-        return Err(FaircrowdError::usage(format!(
-            "unexpected argument `{extra}`: `faircrowd replay` takes exactly one trace file \
-             (a recorded trace already fixes the market)"
-        )));
+/// `faircrowd replay <FILE>` (or `--trace FILE`): load → validate →
+/// index → audit → report, no simulator in the loop. Anything beyond
+/// the one path is rejected rather than silently ignored.
+fn replay_cmd(argv: &[String]) -> Result<(), FaircrowdError> {
+    let args = REPLAY.parse(argv)?;
+    let mut paths = args.value("--trace").into_iter().chain(args.operands);
+    let path = paths
+        .next()
+        .ok_or_else(|| FaircrowdError::usage(REPLAY.usage))?;
+    if let Some(extra) = paths.next() {
+        return Err(REPLAY.surplus_error(extra));
     }
     replay_file(path)
 }
@@ -637,47 +791,25 @@ fn replay_file(path: &str) -> Result<(), FaircrowdError> {
 /// resumes from it — skipping the consumed lines instead of replaying
 /// them — printing the restored findings first, so the restart's output
 /// is still the stream's complete finding history.
-fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let mut path: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--once" => i += 1,
-            "--idle-ms" | "--checkpoint" | "--checkpoint-every" => i += 2,
-            flag if flag.starts_with("--") => {
-                return Err(FaircrowdError::usage(format!(
-                    "unknown flag `{flag}` for `faircrowd watch`; supported: \
-                     --once --idle-ms N --checkpoint FILE --checkpoint-every N"
-                )))
-            }
-            positional => {
-                if path.is_some() {
-                    return Err(FaircrowdError::usage(format!(
-                        "unexpected argument `{positional}`: `faircrowd watch` takes exactly \
-                         one trace file (`.jsonl` stream or `.fcb` recording)"
-                    )));
-                }
-                path = Some(positional);
-                i += 1;
-            }
-        }
-    }
-    let path = path.ok_or_else(|| FaircrowdError::usage("usage: faircrowd watch <trace.jsonl>"))?;
-    let once = args.iter().any(|a| a == "--once");
-    let idle_ms: u64 = positive_flag(args, "--idle-ms", 1500)?;
-    let ckpt_path = flag_value(args, "--checkpoint")?.map(std::path::PathBuf::from);
-    let ckpt_every = positive_flag(args, "--checkpoint-every", 512)?;
-    if ckpt_path.is_none() && flag_value(args, "--checkpoint-every")?.is_some() {
+fn watch_cmd(argv: &[String]) -> Result<(), FaircrowdError> {
+    let args = WATCH.parse(argv)?;
+    let path = args.operands[0];
+    let once = args.has("--once");
+    let idle_ms = args.positive("--idle-ms", 1500)?;
+    let ckpt_path = args.value("--checkpoint").map(std::path::PathBuf::from);
+    let ckpt_every = args.positive("--checkpoint-every", 512)?;
+    if args.has("--checkpoint-every") && ckpt_path.is_none() {
         return Err(FaircrowdError::usage(
             "--checkpoint-every requires --checkpoint FILE",
         ));
     }
 
     use std::io::Read as _;
-    let mut file = std::fs::File::open(path).map_err(|e| FaircrowdError::Io {
+    let io = |e: std::io::Error| FaircrowdError::Io {
         path: path.to_owned(),
         message: e.to_string(),
-    })?;
+    };
+    let mut file = std::fs::File::open(path).map_err(io)?;
     let mut reader = faircrowd::model::trace_io::JsonlReader::new();
     let mut auditor = LiveAuditor::new(AuditConfig::default());
     let mut header_applied = false;
@@ -728,10 +860,7 @@ fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     std::io::Read::by_ref(&mut file)
         .take(8)
         .read_to_end(&mut head)
-        .map_err(|e| FaircrowdError::Io {
-            path: path.to_owned(),
-            message: e.to_string(),
-        })?;
+        .map_err(io)?;
     let binary = head == faircrowd::model::trace_bin::MAGIC;
 
     let mut feed = |line: &str,
@@ -764,18 +893,13 @@ fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     };
 
     if binary {
-        // A `.fcb` recording is finished by definition (the binary
-        // format has no append form), so it is decoded whole and
-        // re-spelled as its JSONL lines, then streamed through the same
-        // feed path a tailed file uses — findings, checkpoints, resume
-        // skipping and the closing report all stay line-addressed and
-        // bit-identical to watching the recording's JSONL twin.
+        // The recording is re-spelled as its JSONL lines and streamed
+        // through the same feed path a tailed file uses — findings,
+        // checkpoints, resume skipping and the closing report all stay
+        // line-addressed and bit-identical to watching the recording's
+        // JSONL twin.
         let mut bytes = head;
-        file.read_to_end(&mut bytes)
-            .map_err(|e| FaircrowdError::Io {
-                path: path.to_owned(),
-                message: e.to_string(),
-            })?;
+        file.read_to_end(&mut bytes).map_err(io)?;
         let trace = faircrowd::core::persist::decode_bytes(&bytes).map_err(|e| e.at_path(path))?;
         let lines =
             faircrowd::core::persist::encode(&trace, faircrowd::core::persist::TraceFormat::Jsonl);
@@ -788,27 +912,12 @@ fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
         // the rest of the write — only complete lines are decoded.
         let mut carry: Vec<u8> = head;
         let mut chunk: Vec<u8> = Vec::new();
-        let mut idle_waited = 0u64;
-        const POLL_MS: u64 = 100;
-        loop {
+        tail_until_idle(once, idle_ms, || {
             chunk.clear();
-            file.read_to_end(&mut chunk)
-                .map_err(|e| FaircrowdError::Io {
-                    path: path.to_owned(),
-                    message: e.to_string(),
-                })?;
+            file.read_to_end(&mut chunk).map_err(io)?;
             if chunk.is_empty() {
-                if once {
-                    break;
-                }
-                if idle_waited >= idle_ms {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(POLL_MS));
-                idle_waited += POLL_MS;
-                continue;
+                return Ok(false);
             }
-            idle_waited = 0;
             carry.extend_from_slice(&chunk);
             // Feed only complete lines; a partially written tail (bytes,
             // or half a multi-byte character) stays in the carry until
@@ -838,7 +947,8 @@ fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
                     last_checkpoint = auditor.events_seen() as u64;
                 }
             }
-        }
+            Ok(true)
+        })?;
         // A non-empty carry at stop is a file truncated mid-record
         // (possibly mid-character): feed it so the decoder reports the
         // malformed line instead of silently dropping it.
@@ -890,6 +1000,27 @@ fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     Ok(())
 }
 
+/// Call `poll` until a poll finds nothing new and either `once` is set
+/// or `idle_ms` have passed since the last growth.
+fn tail_until_idle(
+    once: bool,
+    idle_ms: u64,
+    mut poll: impl FnMut() -> Result<bool, FaircrowdError>,
+) -> Result<(), FaircrowdError> {
+    const POLL_MS: u64 = 100;
+    let mut idle_waited = 0;
+    loop {
+        if poll()? {
+            idle_waited = 0;
+        } else if once || idle_waited >= idle_ms {
+            return Ok(());
+        } else {
+            std::thread::sleep(std::time::Duration::from_millis(POLL_MS));
+            idle_waited += POLL_MS;
+        }
+    }
+}
+
 /// Tag a streaming-ingest error with the file line it arose on.
 fn at_watch_line(err: FaircrowdError, lineno: usize) -> FaircrowdError {
     match err {
@@ -913,38 +1044,19 @@ fn at_watch_line(err: FaircrowdError, lineno: usize) -> FaircrowdError {
 /// replaying that market's trace from the start. Closing reports are
 /// printed per market; a failed market stream fails the exit code but
 /// never the other markets.
-fn serve_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let mut dir: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--once" => i += 1,
-            "--idle-ms" | "--jobs" | "--checkpoint-dir" | "--checkpoint-every" => i += 2,
-            flag if flag.starts_with("--") => {
-                return Err(FaircrowdError::usage(format!(
-                    "unknown flag `{flag}` for `faircrowd serve`; supported: \
-                     --checkpoint-dir D --checkpoint-every N --jobs N --once --idle-ms N"
-                )))
-            }
-            positional => {
-                if dir.is_some() {
-                    return Err(FaircrowdError::usage(format!(
-                        "unexpected argument `{positional}`: `faircrowd serve` takes exactly \
-                         one trace directory"
-                    )));
-                }
-                dir = Some(positional);
-                i += 1;
-            }
-        }
+fn serve_cmd(argv: &[String]) -> Result<(), FaircrowdError> {
+    let args = SERVE.parse(argv)?;
+    let dir = args.operands[0];
+    let once = args.has("--once");
+    let idle_ms = args.positive("--idle-ms", 1500)?;
+    let jobs = args.jobs()?;
+    let checkpoint_dir = args.value("--checkpoint-dir").map(std::path::PathBuf::from);
+    let checkpoint_every = args.positive("--checkpoint-every", 512)?;
+    if args.has("--checkpoint-every") && checkpoint_dir.is_none() {
+        return Err(FaircrowdError::usage(
+            "--checkpoint-every requires --checkpoint-dir D",
+        ));
     }
-    let dir = dir.ok_or_else(|| FaircrowdError::usage("usage: faircrowd serve <dir>"))?;
-    let once = args.iter().any(|a| a == "--once");
-    let idle_ms = positive_flag(args, "--idle-ms", 1500)?;
-    let default_jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let jobs = positive_flag(args, "--jobs", default_jobs as u64)? as usize;
-    let checkpoint_dir = flag_value(args, "--checkpoint-dir")?.map(std::path::PathBuf::from);
-    let checkpoint_every = positive_flag(args, "--checkpoint-every", 512)?;
     if let Some(d) = &checkpoint_dir {
         std::fs::create_dir_all(d).map_err(|e| FaircrowdError::Io {
             path: d.display().to_string(),
@@ -978,9 +1090,7 @@ fn serve_cmd(args: &[String]) -> Result<(), FaircrowdError> {
         outln!("{finding}");
     }
 
-    const POLL_MS: u64 = 100;
-    let mut idle_waited = 0u64;
-    loop {
+    tail_until_idle(once, idle_ms, || {
         let before = daemon.total_lines();
         for finding in daemon.poll() {
             outln!("{finding}");
@@ -988,16 +1098,8 @@ fn serve_cmd(args: &[String]) -> Result<(), FaircrowdError> {
         for notice in daemon.take_notices() {
             outln!("{notice}");
         }
-        if daemon.total_lines() == before {
-            if once || idle_waited >= idle_ms {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(POLL_MS));
-            idle_waited += POLL_MS;
-        } else {
-            idle_waited = 0;
-        }
-    }
+        Ok(daemon.total_lines() != before)
+    })?;
     for finding in daemon.finalize() {
         outln!("{finding}");
     }
@@ -1033,79 +1135,28 @@ fn serve_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     Ok(())
 }
 
-/// The only flags `sweep` reads; anything else is rejected rather than
-/// silently ignored (the grid's axes subsume `run`'s market flags).
-const SWEEP_FLAGS: [&str; 9] = [
-    "--grid",
-    "--jobs",
-    "--format",
-    "--seed",
-    "--rounds",
-    "--strategy",
-    "--shard",
-    "--out",
-    "--progress",
-];
-
-fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
-    if let Some(bad) = args
-        .iter()
-        .find(|a| a.starts_with("--") && !SWEEP_FLAGS.contains(&a.as_str()))
+fn sweep(argv: &[String]) -> Result<(), FaircrowdError> {
+    let args = SWEEP.parse(argv)?;
+    let mut grid = SweepGrid::parse(args.value("--grid").unwrap_or("policy=*"))?;
+    // --seed/--rounds/--strategy act as axis defaults when the grid
+    // omits them.
+    grid.seeds = grid.seeds.or(args.parsed("--seed")?.map(|seed| vec![seed]));
+    grid.rounds = grid
+        .rounds
+        .or(args.parsed("--rounds")?.map(|rounds| vec![rounds]));
+    if let Some(raw) = args
+        .value("--strategy")
+        .filter(|_| grid.strategies.is_none())
     {
-        return Err(FaircrowdError::usage(format!(
-            "unknown flag `{bad}` for `faircrowd sweep`; supported: {} \
-             (scenario, policy and enforcement are grid axes, e.g. \
-             --grid 'scenario=spam_campaign;policy=*;enforce=parity')",
-            SWEEP_FLAGS.join(" ")
-        )));
+        // Resolve now so a typo lists the registry before any
+        // thread spawns, same as the grid's own axis validation.
+        StrategyChoice::by_name(raw)?;
+        grid.strategies = Some(vec![raw.to_owned()]);
     }
-    // A bare positional (usually a grid spec missing its `--grid`) would
-    // otherwise be silently dropped and the default grid swept instead.
-    let mut expects_value = false;
-    for arg in args {
-        if expects_value {
-            expects_value = false;
-        } else if arg.starts_with("--") {
-            expects_value = arg != "--progress";
-        } else {
-            return Err(FaircrowdError::usage(format!(
-                "unexpected argument `{arg}` for `faircrowd sweep`; grid specs go \
-                 via --grid, e.g. --grid 'seed=1..4;enforce=parity'"
-            )));
-        }
-    }
-    let spec = flag_value(args, "--grid")?.unwrap_or("policy=*");
-    let mut grid = SweepGrid::parse(spec)?;
-    // --seed/--rounds act as axis defaults when the grid omits them.
-    if grid.seeds.is_none() {
-        if let Some(raw) = flag_value(args, "--seed")? {
-            grid.seeds = Some(vec![raw.parse().map_err(|_| {
-                FaircrowdError::usage(format!("invalid value `{raw}` for --seed"))
-            })?]);
-        }
-    }
-    if grid.rounds.is_none() {
-        if let Some(raw) = flag_value(args, "--rounds")? {
-            grid.rounds = Some(vec![raw.parse().map_err(|_| {
-                FaircrowdError::usage(format!("invalid value `{raw}` for --rounds"))
-            })?]);
-        }
-    }
-    if grid.strategies.is_none() {
-        if let Some(raw) = flag_value(args, "--strategy")? {
-            // Resolve now so a typo lists the registry before any
-            // thread spawns, same as the grid's own axis validation.
-            StrategyChoice::by_name(raw)?;
-            grid.strategies = Some(vec![raw.to_owned()]);
-        }
-    }
-    let default_jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let jobs = positive_flag(args, "--jobs", default_jobs as u64)? as usize;
-    let progress = args.iter().any(|a| a == "--progress");
-    let shard = flag_value(args, "--shard")?;
-    let out = flag_value(args, "--out")?;
+    let jobs = args.jobs()?;
+    let out = args.value("--out");
 
-    if let Some(spec) = shard {
+    if let Some(spec) = args.value("--shard") {
         // Shard mode: results stream to the part file, formatting waits
         // for `merge`; stdout carries only the shard's tally.
         let spec = faircrowd::sweep::shard::ShardSpec::parse(spec)?;
@@ -1114,28 +1165,20 @@ fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
                 "--shard requires --out FILE (the part file this shard appends to)",
             ));
         };
-        if flag_value(args, "--format")?.is_some() {
+        if args.has("--format") {
             return Err(FaircrowdError::usage(
                 "--format does not apply to a shard run: shards write part files; \
                  render with `faircrowd merge <part>...` once every shard finished",
             ));
         }
-        let total = grid.expand()?.len();
-        let progress_line = |cell: usize, outcome: &faircrowd::sweep::CaseOutcome| {
-            eprintln!(
-                "[shard {spec} cell {}/{total}] {}",
-                cell + 1,
-                progress_cell(outcome)
-            );
-        };
-        let hook: faircrowd::sweep::CellHook<'_> = progress.then_some(&progress_line);
+        let hook = progress_hook(&args, format!("shard {spec} "), grid.expand()?.len());
         let run = faircrowd::sweep::shard::run_shard_opts(
             &grid,
             spec,
             std::path::Path::new(out),
             jobs,
             true,
-            hook,
+            hook.as_deref(),
         )?;
         outln!(
             "shard {spec}: {} of {} grid cell(s); {} ran, {} resumed -> {out}",
@@ -1151,16 +1194,13 @@ fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
             "--out only applies to shard runs; pair it with --shard i/N",
         ));
     }
-    let format = flag_value(args, "--format")?.unwrap_or("table");
 
-    let total = grid.expand()?.len();
-    let progress_line = |cell: usize, outcome: &faircrowd::sweep::CaseOutcome| {
-        eprintln!("[cell {}/{total}] {}", cell + 1, progress_cell(outcome));
-    };
-    let hook: faircrowd::sweep::CellHook<'_> = progress.then_some(&progress_line);
-    let result = faircrowd::sweep::run_grid_observed(&grid, jobs, true, hook)?;
-    match format {
-        "table" => {
+    let hook = progress_hook(&args, String::new(), grid.expand()?.len());
+    let result = faircrowd::sweep::run_grid_observed(&grid, jobs, true, hook.as_deref())?;
+    match args.value("--format") {
+        Some("json") => out!("{}", result.to_json()),
+        Some("csv") => out!("{}", result.to_csv()),
+        _ => {
             outln!(
                 "grid sweep: {} case(s) over {} cell(s), {jobs} job(s)\n",
                 result.cases.len(),
@@ -1168,120 +1208,60 @@ fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
             );
             out!("{}", result.render_table());
         }
-        "json" => out!("{}", result.to_json()),
-        "csv" => out!("{}", result.to_csv()),
-        other => {
-            return Err(FaircrowdError::usage(format!(
-                "unknown format `{other}`; expected table | json | csv"
-            )))
-        }
     }
     Ok(())
 }
 
-/// The per-cell description `--progress` prints after the cell tag.
-fn progress_cell(outcome: &faircrowd::sweep::CaseOutcome) -> String {
-    let case = &outcome.case;
-    format!(
-        "scenario={} policy={} strategy={} seed={} scale={} rounds={} enforce={} aggregator={}",
-        case.scenario,
-        case.policy_label,
-        case.strategy_label,
-        case.seed,
-        case.scale,
-        case.rounds,
-        faircrowd::sweep::stack_label(&case.enforcements),
-        case.aggregator_label
-    )
-}
+/// The `--progress` hook: one stderr line per completed cell.
+type Progress = Box<dyn Fn(usize, &faircrowd::sweep::CaseOutcome) + Sync>;
 
-/// The only flags `frontier` reads; like `sweep`, anything else is
-/// rejected rather than silently ignored.
-const FRONTIER_FLAGS: [&str; 4] = ["--grid", "--jobs", "--format", "--progress"];
-
-fn frontier_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    if let Some(bad) = args
-        .iter()
-        .find(|a| a.starts_with("--") && !FRONTIER_FLAGS.contains(&a.as_str()))
-    {
-        return Err(FaircrowdError::usage(format!(
-            "unknown flag `{bad}` for `faircrowd frontier`; supported: {} \
-             (policy, aggregator and enforcement are grid axes, e.g. \
-             --grid 'policy=*;aggregator=*;enforce=none,parity')",
-            FRONTIER_FLAGS.join(" ")
-        )));
-    }
-    let mut expects_value = false;
-    for arg in args {
-        if expects_value {
-            expects_value = false;
-        } else if arg.starts_with("--") {
-            expects_value = arg != "--progress";
-        } else {
-            return Err(FaircrowdError::usage(format!(
-                "unexpected argument `{arg}` for `faircrowd frontier`; grid specs go \
-                 via --grid, e.g. --grid 'policy=*;aggregator=*'"
-            )));
-        }
-    }
-    let spec = flag_value(args, "--grid")?.unwrap_or("");
-    let grid = faircrowd::frontier::frontier_grid(spec)?;
-    let default_jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let jobs = positive_flag(args, "--jobs", default_jobs as u64)? as usize;
-    let progress = args.iter().any(|a| a == "--progress");
-    let format = flag_value(args, "--format")?.unwrap_or("table");
-
-    let total = grid.expand()?.len();
-    let progress_line = |cell: usize, outcome: &faircrowd::sweep::CaseOutcome| {
-        eprintln!("[cell {}/{total}] {}", cell + 1, progress_cell(outcome));
+fn progress_hook(args: &Args, tag: String, total: usize) -> Option<Progress> {
+    let line = move |cell: usize, outcome: &faircrowd::sweep::CaseOutcome| {
+        let case = &outcome.case;
+        eprintln!(
+            "[{tag}cell {}/{total}] scenario={} policy={} strategy={} seed={} scale={} rounds={} \
+             enforce={} aggregator={}",
+            cell + 1,
+            case.scenario,
+            case.policy_label,
+            case.strategy_label,
+            case.seed,
+            case.scale,
+            case.rounds,
+            faircrowd::sweep::stack_label(&case.enforcements),
+            case.aggregator_label
+        );
     };
-    let hook: faircrowd::sweep::CellHook<'_> = progress.then_some(&progress_line);
-    let result = faircrowd::frontier::run_frontier_observed(&grid, jobs, hook)?;
-    match format {
-        "table" => {
-            outln!(
-                "policy frontier: {} point(s), {} on the Pareto frontier, {jobs} job(s)\n",
-                result.points.len(),
-                result.frontier().len()
-            );
-            out!("{}", result.render_table());
-        }
-        "json" => out!("{}", result.to_json()),
-        other => {
-            return Err(FaircrowdError::usage(format!(
-                "unknown format `{other}` for `faircrowd frontier`; expected table | json"
-            )))
-        }
+    args.has("--progress").then(|| Box::new(line) as Progress)
+}
+
+fn frontier_cmd(argv: &[String]) -> Result<(), FaircrowdError> {
+    let args = FRONTIER.parse(argv)?;
+    let grid = faircrowd::frontier::frontier_grid(args.value("--grid").unwrap_or(""))?;
+    let jobs = args.jobs()?;
+    let hook = progress_hook(&args, String::new(), grid.expand()?.len());
+    let result = faircrowd::frontier::run_frontier_observed(&grid, jobs, hook.as_deref())?;
+    if args.value("--format") == Some("json") {
+        out!("{}", result.to_json());
+    } else {
+        outln!(
+            "policy frontier: {} point(s), {} on the Pareto frontier, {jobs} job(s)\n",
+            result.points.len(),
+            result.frontier().len()
+        );
+        out!("{}", result.render_table());
     }
     Ok(())
 }
 
-fn merge_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let format = flag_value(args, "--format")?.unwrap_or("table");
-    let mut paths: Vec<std::path::PathBuf> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => i += 2,
-            flag if flag.starts_with("--") => {
-                return Err(FaircrowdError::usage(format!(
-                    "unknown flag `{flag}` for `faircrowd merge`; supported: --format"
-                )));
-            }
-            path => {
-                paths.push(path.into());
-                i += 1;
-            }
-        }
-    }
-    if paths.is_empty() {
-        return Err(FaircrowdError::usage(
-            "usage: faircrowd merge <part.json>... [--format table|json|csv]",
-        ));
-    }
+fn merge_cmd(argv: &[String]) -> Result<(), FaircrowdError> {
+    let args = MERGE.parse(argv)?;
+    let paths: Vec<std::path::PathBuf> = args.operands.iter().map(Into::into).collect();
     let result = faircrowd::sweep::shard::merge_paths(&paths)?;
-    match format {
-        "table" => {
+    match args.value("--format") {
+        Some("json") => out!("{}", result.to_json()),
+        Some("csv") => out!("{}", result.to_csv()),
+        _ => {
             outln!(
                 "grid merge: {} case(s) over {} cell(s), {} part(s)\n",
                 result.cases.len(),
@@ -1290,18 +1270,12 @@ fn merge_cmd(args: &[String]) -> Result<(), FaircrowdError> {
             );
             out!("{}", result.render_table());
         }
-        "json" => out!("{}", result.to_json()),
-        "csv" => out!("{}", result.to_csv()),
-        other => {
-            return Err(FaircrowdError::usage(format!(
-                "unknown format `{other}`; expected table | json | csv"
-            )))
-        }
     }
     Ok(())
 }
 
-fn policies() -> Result<(), FaircrowdError> {
+fn policies(argv: &[String]) -> Result<(), FaircrowdError> {
+    POLICIES.parse(argv)?;
     outln!("catalog policies (TPL sources in faircrowd-lang::catalog):\n");
     for (name, _) in catalog::sources() {
         let policy = catalog::get(name)?;
@@ -1318,11 +1292,8 @@ fn policies() -> Result<(), FaircrowdError> {
     Ok(())
 }
 
-fn render_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let name = args
-        .first()
-        .ok_or_else(|| FaircrowdError::usage("usage: faircrowd render <policy>"))?;
-    let policy = catalog::get(name)?;
+fn render_cmd(argv: &[String]) -> Result<(), FaircrowdError> {
+    let policy = catalog::get(RENDER.parse(argv)?.operands[0])?;
     out!("{}", render::render_policy(&policy));
     outln!(
         "\ncanonical TPL source:\n\n{}",
@@ -1331,11 +1302,12 @@ fn render_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     Ok(())
 }
 
-fn compare_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let (Some(a), Some(b)) = (args.first(), args.get(1)) else {
-        return Err(FaircrowdError::usage("usage: faircrowd compare <a> <b>"));
-    };
-    let (pa, pb) = (catalog::get(a)?, catalog::get(b)?);
+fn compare_cmd(argv: &[String]) -> Result<(), FaircrowdError> {
+    let args = COMPARE.parse(argv)?;
+    let (pa, pb) = (
+        catalog::get(args.operands[0])?,
+        catalog::get(args.operands[1])?,
+    );
     out!("{}", compare(&pa, &pb).render());
     Ok(())
 }
@@ -1348,18 +1320,26 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    fn pipeline(verb: &Verb, args: &[String]) -> Result<Pipeline, FaircrowdError> {
+        pipeline_from_flags(&verb.parse(args)?)
+    }
+
+    fn scenario(args: &[String]) -> Result<ScenarioConfig, FaircrowdError> {
+        scenario_from_flags(&RUN.parse(args)?)
+    }
+
     #[test]
     fn every_registry_name_builds_a_pipeline() {
         for name in registry::NAMES {
             let args = argv(&["--policy", name, "--rounds", "6"]);
-            assert!(pipeline_from_flags(&args, false).is_ok(), "{name}");
+            assert!(pipeline(&AUDIT, &args).is_ok(), "{name}");
         }
         // Hyphen spellings from the old CLI still resolve.
         let args = argv(&["--policy", "round-robin"]);
-        assert!(pipeline_from_flags(&args, false).is_ok());
+        assert!(pipeline(&AUDIT, &args).is_ok());
         let args = argv(&["--policy", "magic"]);
         assert!(matches!(
-            pipeline_from_flags(&args, false),
+            pipeline(&AUDIT, &args),
             Err(FaircrowdError::UnknownPolicy { .. })
         ));
     }
@@ -1433,14 +1413,15 @@ mod tests {
     #[test]
     fn flag_value_extracts_pairs() {
         let args = argv(&["--seed", "7", "--policy", "kos"]);
-        assert_eq!(flag_value(&args, "--seed").unwrap(), Some("7"));
-        assert_eq!(flag_value(&args, "--policy").unwrap(), Some("kos"));
-        assert_eq!(flag_value(&args, "--rounds").unwrap(), None);
+        let parsed = RUN.parse(&args).unwrap();
+        assert_eq!(parsed.value("--seed"), Some("7"));
+        assert_eq!(parsed.value("--policy"), Some("kos"));
+        assert_eq!(parsed.value("--rounds"), None);
         // A flag dangling at the end of the line is an error, not a
         // silent fall-back to the default.
         let dangling = argv(&["--seed"]);
         assert!(matches!(
-            flag_value(&dangling, "--seed"),
+            RUN.parse(&dangling),
             Err(FaircrowdError::Usage { .. })
         ));
     }
@@ -1510,10 +1491,10 @@ mod tests {
 
     #[test]
     fn default_market_is_the_catalog_baseline() {
-        let config = scenario_from_flags(&[]).unwrap();
+        let config = scenario(&[]).unwrap();
         assert_eq!(config, scenarios::get("baseline").unwrap());
         // --workers only resizes the baseline's population.
-        let config = scenario_from_flags(&argv(&["--workers", "12"])).unwrap();
+        let config = scenario(&argv(&["--workers", "12"])).unwrap();
         assert_eq!(config.workers[0].count, 12);
     }
 
@@ -1543,7 +1524,7 @@ mod tests {
     fn scenario_flag_selects_catalog_presets() {
         // A preset keeps its own seed/rounds when flags are absent…
         let args = argv(&["--scenario", "worker_churn"]);
-        let config = scenario_from_flags(&args).unwrap();
+        let config = scenario(&args).unwrap();
         assert_eq!(config.rounds, 60);
         // …and explicit flags still win.
         let args = argv(&[
@@ -1554,12 +1535,12 @@ mod tests {
             "--seed",
             "7",
         ]);
-        let config = scenario_from_flags(&args).unwrap();
+        let config = scenario(&args).unwrap();
         assert_eq!(config.rounds, 12);
         assert_eq!(config.seed, 7);
         // Unknown names list the catalog.
         let args = argv(&["--scenario", "atlantis"]);
-        match scenario_from_flags(&args) {
+        match scenario(&args) {
             Err(FaircrowdError::UnknownScenario { available, .. }) => {
                 assert_eq!(available.len(), scenarios::NAMES.len());
             }
@@ -1571,10 +1552,10 @@ mod tests {
     fn strategy_flag_resolves_conflicts_and_rejects_unknowns() {
         // Override on a static-family base (including the flag-built
         // default) is the point of the flag…
-        let config = scenario_from_flags(&argv(&["--strategy", "super_turker"])).unwrap();
+        let config = scenario(&argv(&["--strategy", "super_turker"])).unwrap();
         assert_eq!(config.strategy, StrategyChoice::SuperTurker);
         // …hyphen spellings canonicalise like policies/scenarios…
-        let config = scenario_from_flags(&argv(&[
+        let config = scenario(&argv(&[
             "--scenario",
             "baseline",
             "--strategy",
@@ -1583,7 +1564,7 @@ mod tests {
         .unwrap();
         assert_eq!(config.strategy, StrategyChoice::SuperTurker);
         // …a strategic scenario's baked-in profile cannot be overridden…
-        let err = scenario_from_flags(&argv(&[
+        let err = scenario(&argv(&[
             "--scenario",
             "price_war",
             "--strategy",
@@ -1595,7 +1576,7 @@ mod tests {
         assert!(err.to_string().contains("price_undercut"), "{err}");
         // …and unknown names list the registry instead of falling
         // through to the default.
-        let err = scenario_from_flags(&argv(&["--strategy", "chaos_monkey"])).unwrap_err();
+        let err = scenario(&argv(&["--strategy", "chaos_monkey"])).unwrap_err();
         match err {
             FaircrowdError::UnknownStrategy { available, .. } => {
                 assert_eq!(available.len(), strategy::NAMES.len());
@@ -1635,7 +1616,7 @@ mod tests {
     #[test]
     fn repeated_enforce_flags_accumulate() {
         let args = argv(&["--enforce", "parity", "--rounds", "6", "--enforce", "grace"]);
-        let pipeline = pipeline_from_flags(&args, true).unwrap();
+        let pipeline = pipeline(&RUN, &args).unwrap();
         let result = pipeline.run().unwrap();
         assert_eq!(result.enforced.unwrap().applied.len(), 2);
     }
@@ -1643,7 +1624,7 @@ mod tests {
     #[test]
     fn audit_rejects_enforce_instead_of_ignoring_it() {
         let args = argv(&["--enforce", "parity"]);
-        let err = pipeline_from_flags(&args, false).unwrap_err();
+        let err = pipeline(&AUDIT, &args).unwrap_err();
         assert!(matches!(err, FaircrowdError::Usage { .. }), "{err}");
         assert!(err.to_string().contains("faircrowd run"));
     }
@@ -1691,10 +1672,7 @@ mod tests {
     #[test]
     fn bad_numeric_flags_are_usage_errors() {
         let args = argv(&["--seed", "pony"]);
-        assert!(matches!(
-            scenario_from_flags(&args),
-            Err(FaircrowdError::Usage { .. })
-        ));
+        assert!(matches!(scenario(&args), Err(FaircrowdError::Usage { .. })));
     }
 
     #[test]
@@ -1834,21 +1812,22 @@ mod tests {
 
     #[test]
     fn positive_flag_accepts_counts_and_rejects_the_rest() {
-        assert_eq!(positive_flag(&[], "--jobs", 4).unwrap(), 4);
+        let jobs = |args: &[String]| SWEEP.parse(args)?.positive("--jobs", 4);
+        assert_eq!(jobs(&[]).unwrap(), 4);
         let args = argv(&["--jobs", "8"]);
-        assert_eq!(positive_flag(&args, "--jobs", 4).unwrap(), 8);
+        assert_eq!(jobs(&args).unwrap(), 8);
         // Zero, negatives and non-numerics all get the same wording.
         for bad in ["0", "-3", "many", "1.5", ""] {
             let args = argv(&["--jobs", bad]);
-            let err = positive_flag(&args, "--jobs", 4).unwrap_err();
+            let err = jobs(&args).unwrap_err();
             assert!(matches!(err, FaircrowdError::Usage { .. }), "{bad}");
             assert!(
                 err.to_string().contains("expected a positive integer"),
                 "{err}"
             );
         }
-        // A dangling flag is still the flag_value error.
-        let err = positive_flag(&argv(&["--jobs"]), "--jobs", 4).unwrap_err();
+        // A dangling flag is still the parser's error.
+        let err = jobs(&argv(&["--jobs"])).unwrap_err();
         assert!(err.to_string().contains("requires a value"), "{err}");
     }
 
@@ -1965,5 +1944,155 @@ mod tests {
         ]))
         .unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every verb with a flag table, for the table-wide checks.
+    const VERBS: [&Verb; 15] = [
+        &AXIOMS, &RUN, &AUDIT, &CONVERGE, &EXPORT, &REPLAY, &WATCH, &SERVE, &SWEEP, &FRONTIER,
+        &MERGE, &SCENARIOS, &POLICIES, &RENDER, &COMPARE,
+    ];
+
+    #[test]
+    fn flag_tables_match_help_and_unknown_flag_errors() {
+        let help = usage_text();
+        for verb in VERBS {
+            let accepted: Vec<&str> = verb.accepted().map(|f| f.name).collect();
+            for flag in verb.accepted() {
+                assert!(
+                    help.contains(&flag.head()),
+                    "{}: `{}`",
+                    verb.name,
+                    flag.head()
+                );
+            }
+            let err = verb
+                .parse(&argv(&["--no-such-flag"]))
+                .unwrap_err()
+                .to_string();
+            let listed: Vec<&str> = err
+                .split("supported: ")
+                .nth(1)
+                .map(|list| {
+                    list.split_whitespace()
+                        .take_while(|w| w.starts_with("--"))
+                        .collect()
+                })
+                .unwrap_or_default();
+            assert_eq!(listed, accepted, "{}: {err}", verb.name);
+        }
+    }
+
+    #[test]
+    fn repeated_single_value_flags_are_usage_errors() {
+        type Verb = fn(&[String]) -> Result<(), FaircrowdError>;
+        let cases: [(&str, Verb, &[&str]); 8] = [
+            (
+                "--seed",
+                |a| run_cmd(a, true),
+                &["--seed", "1", "--seed", "2"],
+            ),
+            (
+                "--rounds",
+                |a| run_cmd(a, false),
+                &["--rounds", "2", "--rounds", "3"],
+            ),
+            (
+                "--opaque",
+                export_cmd,
+                &["--opaque", "--out", "x.jsonl", "--opaque"],
+            ),
+            ("--gain", converge_cmd, &["--gain", "0.5", "--gain", "0.9"]),
+            (
+                "--idle-ms",
+                watch_cmd,
+                &["/no/such.jsonl", "--idle-ms", "5", "--idle-ms", "6"],
+            ),
+            (
+                "--jobs",
+                serve_cmd,
+                &["/no/such_dir", "--jobs", "1", "--jobs", "2"],
+            ),
+            (
+                "--jobs",
+                sweep,
+                &[
+                    "--grid",
+                    "policy=kos;rounds=2",
+                    "--jobs",
+                    "2",
+                    "--jobs",
+                    "1",
+                ],
+            ),
+            (
+                "--format",
+                merge_cmd,
+                &["/no/such.json", "--format", "json", "--format", "csv"],
+            ),
+        ];
+        for (flag, cmd, args) in cases {
+            let err = cmd(&argv(args)).unwrap_err();
+            assert!(
+                matches!(err, FaircrowdError::Usage { .. }),
+                "{args:?}: {err:?}"
+            );
+            assert!(
+                err.to_string().contains(&format!("`{flag}` given twice")),
+                "{err}"
+            );
+        }
+        let err = frontier_cmd(&argv(&["--grid", "rounds=2", "--grid", "rounds=3"])).unwrap_err();
+        assert!(err.to_string().contains("`--grid` given twice"), "{err}");
+        // `--enforce` is the one repeatable flag.
+        let args = argv(&["--enforce", "parity", "--enforce", "grace"]);
+        assert_eq!(RUN.parse(&args).unwrap().all("--enforce").count(), 2);
+    }
+
+    #[test]
+    fn fixed_set_values_are_checked_before_any_work() {
+        // The format error wins over the missing part file…
+        let err = merge_cmd(&argv(&["no-such-part.json", "--format", "yaml"])).unwrap_err();
+        assert!(matches!(err, FaircrowdError::Usage { .. }), "{err:?}");
+        assert!(err.to_string().contains("`yaml`"), "{err}");
+        assert!(err.to_string().contains("table | json | csv"), "{err}");
+        // …and a 100,001-cell grid never starts.
+        let started = std::time::Instant::now();
+        let err = sweep(&argv(&["--grid", "seed=0..100000", "--format", "yaml"])).unwrap_err();
+        assert!(err.to_string().contains("`yaml`"), "{err}");
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+    }
+
+    #[test]
+    fn ignored_arguments_are_rejected() {
+        let err = serve_cmd(&argv(&["/no/such_dir", "--checkpoint-every", "5"])).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("--checkpoint-every requires --checkpoint-dir"),
+            "{err}"
+        );
+        let err = render_cmd(&argv(&["amt", "extra", "junk"])).unwrap_err();
+        assert!(matches!(err, FaircrowdError::Usage { .. }), "{err:?}");
+        assert!(
+            err.to_string().contains("unexpected argument `extra`"),
+            "{err}"
+        );
+        let err = compare_cmd(&argv(&["amt", "mobileworks", "faircrowd-full"])).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unexpected argument `faircrowd-full`"),
+            "{err}"
+        );
+        let err = render_cmd(&argv(&["amt", "--json"])).unwrap_err();
+        assert!(err.to_string().contains("unknown flag `--json`"), "{err}");
+        type Verb = fn(&[String]) -> Result<(), FaircrowdError>;
+        for cmd in [axioms as Verb, scenarios_cmd, policies] {
+            let err = cmd(&argv(&["extra"])).unwrap_err();
+            assert!(
+                err.to_string().contains("unexpected argument `extra`"),
+                "{err}"
+            );
+            let err = cmd(&argv(&["--format", "json"])).unwrap_err();
+            assert!(err.to_string().contains("unknown flag `--format`"), "{err}");
+        }
     }
 }

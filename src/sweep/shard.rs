@@ -523,23 +523,8 @@ fn header_from_json(
     json: &Json,
     ctx: impl std::fmt::Display,
 ) -> Result<PartHeader, FaircrowdError> {
-    let schema = json.get("schema").and_then(Json::as_str).ok_or_else(|| {
-        FaircrowdError::persist(format!("{ctx}: not a sweep part file (no `schema` field)"))
-    })?;
-    if schema != SCHEMA {
-        return Err(FaircrowdError::persist(format!(
-            "{ctx}: expected schema `{SCHEMA}`, got `{schema}`"
-        )));
-    }
-    let version = json
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: missing schema `version`")))?;
-    if version != VERSION {
-        return Err(FaircrowdError::persist(format!(
-            "{ctx}: unsupported {SCHEMA} version {version} (this build reads version {VERSION})"
-        )));
-    }
+    crate::model::trace_io::check_schema(json, SCHEMA, VERSION)
+        .map_err(|m| FaircrowdError::persist(format!("{ctx}: {m}")))?;
     let count = |key: &str| -> Result<usize, FaircrowdError> {
         json.get(key)
             .and_then(Json::as_u64)
